@@ -5,14 +5,12 @@ The same seed gives the same files byte for byte. For each dimension of
 (quasi CSV) and its basis probabilities (probability CSV); the coefficients
 and probabilities come from the closed forms in `reference.py`, not from the
 package under test. For `library-stream` it writes the state stream as one
-`.npy` array of shape (states, d, d).
-
-    python3 perfbench/inputs.py --seed 1 --out DIR --cli-dims 31 41 --stream-d 31 --stream-states 100
+`.npy` array of shape (states, d, d). `run.py` calls these writers for
+each run; the files land in the run's work directory.
 """
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +48,3 @@ def stream_states(seed: int, d: int, count: int) -> np.ndarray:
 
 def write_stream(seed: int, d: int, count: int, path: Path) -> None:
     np.save(path, stream_states(seed, d, count), allow_pickle=False)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--cli-dims", type=int, nargs="*", default=[31, 41])
-    parser.add_argument("--stream-d", type=int, default=31)
-    parser.add_argument("--stream-states", type=int, default=100)
-    args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-    for d in args.cli_dims:
-        write_cli_inputs(args.seed, d, args.out)
-    write_stream(args.seed, args.stream_d, args.stream_states, args.out / f"stream_d{args.stream_d}.npy")
-
-
-if __name__ == "__main__":
-    main()
