@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,8 +54,8 @@ def _resolve_eps(args) -> float:
         eps = float(args.eps)
     else:
         eps = float(os.environ.get(ENV_EPS, DEFAULT_EPS))
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return eps
 
 

@@ -75,60 +75,6 @@ def omega_power(d: int, k: int) -> complex:
     return complex(np.exp(2j * np.pi * (k % d) / d))
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
-
-
-def zeros(d: int) -> np.ndarray:
-    return np.zeros((d, d), dtype=complex)
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
-    return a + b
-
-
-def mat_scale(c: complex, a: np.ndarray) -> np.ndarray:
-    return complex(c) * np.asarray(a, dtype=complex)
-
-
-def mat_adjoint(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def mat_trace(a: np.ndarray) -> complex:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"trace needs a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
-
-
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a - b).max())
-
-
-def approx_eq(a: np.ndarray, b: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
-    """Entrywise equality within eps (max norm)."""
-    return max_abs_diff(a, b) <= eps
-
-
 def as_square_matrix(values, expected_d: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries, or raise."""
     m = np.asarray(values, dtype=complex)
@@ -150,6 +96,3 @@ def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
     i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
     return float(diff[i, j]), (int(i), int(j))
 
-
-def is_hermitian(a: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
-    return hermiticity_defect(a)[0] <= eps

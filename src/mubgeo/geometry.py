@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .core import Modulus
 from .errors import NoCommonPointError
-from .report import AxiomReport, Check
+from .report import AxiomReport, witness
 
 CB_COLUMN = -1
 
@@ -192,6 +194,44 @@ def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:
     return common
 
 
+def point_index(mod: Modulus, point: Point) -> int:
+    """Position of a point in the column-major enumeration (reference column first)."""
+    check_point(mod, point)
+    return (point.b + 1) * mod.d + point.m
+
+
+def line_index(mod: Modulus, line: Line) -> int:
+    """Position of a line in the lexicographic (m_minus1, m0) enumeration."""
+    check_line(mod, line)
+    return line.m_minus1 * mod.d + line.m0
+
+
+def incidence_matrix(mod: Modulus) -> np.ndarray:
+    """The dual plane's incidence matrix N, built from line_points.
+
+    N[point_index, line_index] is 1 where the point lies on the line, else 0:
+    d(d+1) rows, d^2 columns, float64 so that products count exactly.
+    """
+    n = np.zeros((mod.d * (mod.d + 1), mod.d * mod.d))
+    for j, line in enumerate(all_lines(mod)):
+        n[[point_index(mod, p) for p in line_points(mod, line)], j] = 1.0
+    return n
+
+
+def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
+    """The affine plane's incidence matrix M, built from apg_line_points.
+
+    M[a, k] is 1 where affine point a lies on the k-th line of apg_lines: d^2
+    rows, d(d+1) columns, float64. Row a = xi*d + eta follows apg_points, which
+    is also the line_index of the dual-plane line that the point labels.
+    """
+    m = np.zeros((mod.d * mod.d, mod.d * (mod.d + 1)))
+    for k, apg_line in enumerate(apg_lines(mod)):
+        rows = [line_index(mod, apg_point_to_line(p)) for p in apg_line_points(mod, apg_line)]
+        m[rows, k] = 1.0
+    return m
+
+
 def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     """Exhaustively check the defining properties of the dual plane.
 
@@ -200,87 +240,66 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     common line; every point lies on d lines and every line holds d+1 points,
     one per column; columns partition the points and are totally disconnected;
     the cross-column connectivity that makes the geometry a single block.
+    Read off N: N^T N = dI + J; N N^T is 1 across columns, 0 within one.
     """
     d = mod.d
     lines = all_lines(mod)
     points = all_points(mod)
-    points_on = {line: frozenset(line_points(mod, line)) for line in lines}
-    lines_on: dict[Point, set[Line]] = {p: set() for p in points}
-    for line, pts in points_on.items():
-        for p in pts:
-            lines_on[p].add(line)
+    n = incidence_matrix(mod)
+    meet = n.T @ n
+    join = n @ n.T
+    column = np.arange(len(points)) // d
+    pairs = np.triu(np.ones(join.shape, dtype=bool), 1)
+    same = pairs & (column[:, None] == column[None, :])
+    cross = pairs & (column[:, None] != column[None, :])
 
-    checks: list[Check] = []
+    def two_points(i: int, j: int) -> str:
+        return f"points {format_point(points[i])} and {format_point(points[j])}"
 
-    ok_counts = (
-        len(lines) == d * d
-        and len(points) == d * (d + 1)
-        and len(set(points_on.values())) == d * d
+    distinct = len(np.unique(n.T, axis=0))
+    ok_counts = len(lines) == d * d and len(points) == d * (d + 1) and distinct == d * d
+
+    pencils = np.zeros_like(n)
+    for i, p in enumerate(points):
+        pencils[i, [line_index(mod, ln) for ln in lines_through_point(mod, p)]] = 1.0
+    bad_degree = witness(
+        (pencils != n).any(axis=1) | (pencils.sum(axis=1) != d),
+        lambda i: f"point {format_point(points[i])} lies on {int(n[i].sum())} lines",
     )
-    checks.append(
-        Check(
-            "dapg.counts",
-            ok_counts,
-            "" if ok_counts else f"{len(set(points_on.values()))} distinct lines, {len(points)} points",
-        )
+    profile = n.reshape(d + 1, d, -1).sum(axis=1).astype(int)
+    bad_degree = bad_degree or witness(
+        (profile != 1).any(axis=0),
+        lambda j: f"line {format_line(lines[j])} has column profile"
+        f" {np.repeat(np.arange(CB_COLUMN, d), profile[:, j]).tolist()}",
     )
 
-    bad = ""
-    for i, j1 in enumerate(lines):
-        for j2 in lines[i + 1 :]:
-            shared = len(points_on[j1] & points_on[j2])
-            if shared != 1:
-                bad = f"lines {format_line(j1)} and {format_line(j2)} share {shared} points"
-                break
-        if bad:
-            break
-    checks.append(Check("dapg.lines_meet_once", not bad, bad))
+    members = [point_index(mod, p) for b in range(CB_COLUMN, d) for p in parallel_class(mod, b)]
+    ok_part = (np.bincount(members, minlength=len(points)) == 1).all()
+    bad_part = witness(
+        same & (join != 0),
+        lambda i, j: f"{two_points(i, j)} of column {points[i].b} share {int(join[i, j])} lines",
+    ) or ("" if ok_part else "columns do not partition the point set")
 
-    bad_join = ""
-    bad_same = ""
-    bad_conn = ""
-    for i, p1 in enumerate(points):
-        for p2 in points[i + 1 :]:
-            shared = len(lines_on[p1] & lines_on[p2])
-            if p1.b == p2.b:
-                if shared != 0 and not bad_same:
-                    bad_same = (
-                        f"points {format_point(p1)} and {format_point(p2)} of column {p1.b}"
-                        f" share {shared} lines"
-                    )
-            else:
-                if shared == 0 and not bad_conn:
-                    bad_conn = f"points {format_point(p1)} and {format_point(p2)} are disconnected"
-                if shared != 1 and not bad_join:
-                    bad_join = (
-                        f"points {format_point(p1)} and {format_point(p2)}"
-                        f" lie on {shared} common lines"
-                    )
-    checks.append(Check("dapg.points_join_once", not bad_join, bad_join))
-
-    bad = ""
-    for p in points:
-        through = lines_through_point(mod, p)
-        if len(set(through)) != d or set(through) != lines_on[p]:
-            bad = f"point {format_point(p)} lies on {len(lines_on[p])} lines"
-            break
-    if not bad:
-        for line in lines:
-            cols = sorted(pt.b for pt in points_on[line])
-            if cols != list(range(CB_COLUMN, d)):
-                bad = f"line {format_line(line)} has column profile {cols}"
-                break
-    checks.append(Check("dapg.degrees", not bad, bad))
-
-    classes = [parallel_class(mod, b) for b in range(CB_COLUMN, d)]
-    flat = [p for cls in classes for p in cls]
-    ok_part = len(flat) == len(set(flat)) == len(points) and set(flat) == set(points)
-    bad_part = bad_same or ("" if ok_part else "columns do not partition the point set")
-    checks.append(Check("dapg.columns_partition", ok_part and not bad_same, bad_part))
-
-    checks.append(Check("dapg.cross_column_connected", not bad_conn, bad_conn))
-
-    return AxiomReport(d, tuple(checks))
+    return AxiomReport.from_findings(
+        d,
+        {
+            "dapg.counts": "" if ok_counts else f"{distinct} distinct lines, {len(points)} points",
+            "dapg.lines_meet_once": witness(
+                np.triu(meet != 1, 1),
+                lambda i, j: f"lines {format_line(lines[i])} and {format_line(lines[j])}"
+                f" share {int(meet[i, j])} points",
+            ),
+            "dapg.points_join_once": witness(
+                cross & (join != 1),
+                lambda i, j: f"{two_points(i, j)} lie on {int(join[i, j])} common lines",
+            ),
+            "dapg.degrees": bad_degree,
+            "dapg.columns_partition": bad_part,
+            "dapg.cross_column_connected": witness(
+                cross & (join == 0), lambda i, j: f"{two_points(i, j)} are disconnected"
+            ),
+        },
+    )
 
 
 def verify_apg_axioms(mod: Modulus) -> AxiomReport:
@@ -290,93 +309,59 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     a unique line joins any two distinct points; the parallel postulate;
     d+1 parallel classes of d mutually disjoint lines; lines of different
     classes meet in exactly one point; a non-collinear triple exists.
+    Read off M: M M^T = dI + J; M^T M is dI within a class, J across classes;
+    M [M^T M = 0] is 1 off the line.
     """
     d = mod.d
     lines = apg_lines(mod)
     points = apg_points(mod)
-    points_on = {line: frozenset(apg_line_points(mod, line)) for line in lines}
-    lines_on: dict[ApgPoint, set[ApgLine]] = {p: set() for p in points}
-    for line, pts in points_on.items():
-        for p in pts:
-            lines_on[p].add(line)
+    m = apg_incidence_matrix(mod)
+    join = m @ m.T
+    meet = m.T @ m
+    parallels = m @ (meet == 0)
+    slope = np.array([d if isinstance(line, VerticalLine) else line.r for line in lines])
+    same_class = slope[:, None] == slope[None, :]
+    sizes = np.unique(slope, return_counts=True)[1]
 
-    checks: list[Check] = []
+    def point(a: int) -> str:
+        return f"({points[a].xi},{points[a].eta})"
 
     ok_counts = (
         len(points) == d * d
         and len(lines) == d * (d + 1)
-        and len(set(points_on.values())) == d * (d + 1)
-        and all(len(points_on[line]) == d for line in lines)
+        and len(np.unique(m.T, axis=0)) == d * (d + 1)
+        and (m.sum(axis=0) == d).all()
     )
-    checks.append(Check("apg.counts", ok_counts, "" if ok_counts else "wrong point/line counts"))
-
-    bad = ""
-    for i, p1 in enumerate(points):
-        for p2 in points[i + 1 :]:
-            shared = len(lines_on[p1] & lines_on[p2])
-            if shared != 1:
-                bad = f"points ({p1.xi},{p1.eta}) and ({p2.xi},{p2.eta}) lie on {shared} lines"
-                break
-        if bad:
-            break
-    checks.append(Check("apg.unique_join", not bad, bad))
-
-    bad = ""
-    for line in lines:
-        on_line = points_on[line]
-        for p in points:
-            if p in on_line:
-                continue
-            parallels = sum(1 for other in lines_on[p] if points_on[other].isdisjoint(on_line))
-            if parallels != 1:
-                bad = f"{parallels} parallels to {line!r} through ({p.xi},{p.eta})"
-                break
-        if bad:
-            break
-    checks.append(Check("apg.parallel_postulate", not bad, bad))
-
-    def class_id(line: ApgLine):
-        return "vertical" if isinstance(line, VerticalLine) else line.r
-
-    classes: dict[object, list[ApgLine]] = {}
-    for line in lines:
-        classes.setdefault(class_id(line), []).append(line)
-    bad = ""
-    if len(classes) != d + 1 or any(len(cls) != d for cls in classes.values()):
-        bad = f"{len(classes)} classes with sizes {sorted(len(c) for c in classes.values())}"
+    if len(sizes) != d + 1 or (sizes != d).any():
+        bad_classes = f"{len(sizes)} classes with sizes {sorted(sizes.tolist())}"
     else:
-        for cls in classes.values():
-            for i, l1 in enumerate(cls):
-                for l2 in cls[i + 1 :]:
-                    if not points_on[l1].isdisjoint(points_on[l2]):
-                        bad = f"parallel lines {l1!r} and {l2!r} intersect"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-    checks.append(Check("apg.parallel_classes", not bad, bad))
+        bad_classes = witness(
+            np.triu(same_class & (meet != 0), 1),
+            lambda k, l: f"parallel lines {lines[k]!r} and {lines[l]!r} intersect",
+        )
+    collinear = m[[0, d, 1]].all(axis=0).any()
 
-    bad = ""
-    for i, l1 in enumerate(lines):
-        for l2 in lines[i + 1 :]:
-            if class_id(l1) == class_id(l2):
-                continue
-            shared = len(points_on[l1] & points_on[l2])
-            if shared != 1:
-                bad = f"lines {l1!r} and {l2!r} of different classes share {shared} points"
-                break
-        if bad:
-            break
-    checks.append(Check("apg.cross_class_meet_once", not bad, bad))
-
-    triple = {ApgPoint(0, 0), ApgPoint(1, 0), ApgPoint(0, 1)}
-    ok_triple = not any(triple <= points_on[line] for line in lines)
-    checks.append(
-        Check("apg.non_collinear_triple", ok_triple, "" if ok_triple else "(0,0),(1,0),(0,1) collinear")
+    return AxiomReport.from_findings(
+        d,
+        {
+            "apg.counts": "" if ok_counts else "wrong point/line counts",
+            "apg.unique_join": witness(
+                np.triu(join != 1, 1),
+                lambda a, b: f"points {point(a)} and {point(b)} lie on {int(join[a, b])} lines",
+            ),
+            "apg.parallel_postulate": witness(
+                ((m == 0) & (parallels != 1)).T,
+                lambda k, a: f"{int(parallels[a, k])} parallels to {lines[k]!r} through {point(a)}",
+            ),
+            "apg.parallel_classes": bad_classes,
+            "apg.cross_class_meet_once": witness(
+                np.triu(~same_class & (meet != 1), 1),
+                lambda k, l: f"lines {lines[k]!r} and {lines[l]!r} of different classes"
+                f" share {int(meet[k, l])} points",
+            ),
+            "apg.non_collinear_triple": "(0,0),(1,0),(0,1) collinear" if collinear else "",
+        },
     )
-
-    return AxiomReport(d, tuple(checks))
 
 
 def verify_duality(mod: Modulus) -> AxiomReport:
@@ -387,59 +372,58 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     points sending parallel classes onto columns (slope r to column -r mod d,
     verticals to the reference column); and the pencil through a fixed affine
     point maps exactly onto the point set of its dual line.
+    Affine lines are mapped in order up to the first pencil that fails; a
+    pencil through an unmapped line fails the round trip.
     """
     d = mod.d
-    checks: list[Check] = []
+    lines = apg_lines(mod)
+    points = all_points(mod)
+    n = incidence_matrix(mod)
+    m = apg_incidence_matrix(mod)
+    # row a of M is dual line a, so (N M)[p, k] counts the lines of pencil k through p
+    full = n @ m == m.sum(axis=0)
 
-    mapping: dict[ApgLine, Point] = {}
-    bad = ""
-    for apg_line in apg_lines(mod):
+    mapped: list[Point] = []
+    bad_pencil = ""
+    for k, apg_line in enumerate(lines):
         try:
             common = duality_common_point(mod, apg_line)
         except NoCommonPointError as exc:
-            bad = str(exc)
+            bad_pencil = str(exc)
             break
-        shared = None
-        for apg_pt in apg_line_points(mod, apg_line):
-            pts = set(line_points(mod, apg_point_to_line(apg_pt)))
-            shared = pts if shared is None else shared & pts
-        if shared != {common}:
-            bad = f"pencil of {apg_line!r} shares {sorted(shared or set())}"
+        shared = [points[i] for i in np.flatnonzero(full[:, k])]
+        if shared != [common]:
+            bad_pencil = f"pencil of {apg_line!r} shares {sorted(shared)}"
             break
-        mapping[apg_line] = common
-    checks.append(Check("duality.pencil_common_point", not bad, bad))
+        mapped.append(common)
 
-    bad = ""
-    if not mapping:
-        bad = "no pencils mapped"
+    if not mapped:
+        bad_bijection = "no pencils mapped"
+    elif len(set(mapped)) != d * (d + 1):
+        bad_bijection = f"{len(set(mapped))} distinct common points, expected {d * (d + 1)}"
     else:
-        if len(set(mapping.values())) != d * (d + 1):
-            bad = f"{len(set(mapping.values()))} distinct common points, expected {d * (d + 1)}"
-        else:
-            for r in range(d):
-                column = {(-r) % d}
-                got = {mapping[SlopedLine(r, s)].b for s in range(d)}
-                rows = {mapping[SlopedLine(r, s)].m for s in range(d)}
-                if got != column or len(rows) != d:
-                    bad = f"slope {r} maps to columns {sorted(got)}"
-                    break
-            vert_cols = {mapping[VerticalLine(xi)].b for xi in range(d)}
-            if not bad and vert_cols != {CB_COLUMN}:
-                bad = f"verticals map to columns {sorted(vert_cols)}"
-    checks.append(Check("duality.class_to_column_bijection", not bad, bad))
+        columns = np.array([p.b for p in mapped]).reshape(d + 1, d)
+        expected = np.array([(-r) % d for r in range(d)] + [CB_COLUMN])
+        bad_bijection = witness(
+            (columns != expected[:, None]).any(axis=1),
+            lambda r: (f"slope {r} maps" if r < d else "verticals map")
+            + f" to columns {sorted(set(columns[r].tolist()))}",
+        )
 
-    bad = ""
-    if mapping:
-        pencil_of: dict[ApgPoint, set[ApgLine]] = {p: set() for p in apg_points(mod)}
-        for apg_line in apg_lines(mod):
-            for p in apg_line_points(mod, apg_line):
-                pencil_of[p].add(apg_line)
-        for apg_pt, pencil in pencil_of.items():
-            image = {mapping[line] for line in pencil}
-            expected = set(line_points(mod, apg_point_to_line(apg_pt)))
-            if image != expected:
-                bad = f"pencil through ({apg_pt.xi},{apg_pt.eta}) maps onto {sorted(image)}"
-                break
-    checks.append(Check("duality.point_pencil_roundtrip", not bad, bad))
+    pi = np.zeros((len(points), len(lines)))
+    pi[[point_index(mod, p) for p in mapped], np.arange(len(mapped))] = 1.0
+    image = pi @ m.T > 0  # must have the support of N
+    bad_roundtrip = witness(
+        (image != (n > 0)).any(axis=0) | m[:, len(mapped) :].any(axis=1),
+        lambda a: f"pencil through ({a // d},{a % d}) maps onto"
+        f" {sorted(points[i] for i in np.flatnonzero(image[:, a]))}",
+    )
 
-    return AxiomReport(d, tuple(checks))
+    return AxiomReport.from_findings(
+        d,
+        {
+            "duality.pencil_common_point": bad_pencil,
+            "duality.class_to_column_bijection": bad_bijection,
+            "duality.point_pencil_roundtrip": bad_roundtrip,
+        },
+    )

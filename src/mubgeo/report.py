@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,11 @@ class AxiomReport:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
+    def from_findings(cls, d: int, findings: dict[str, str]) -> "AxiomReport":
+        """One check per axiom, in order; a check passes when it has no counterexample."""
+        return cls(d, tuple(Check(axiom, not bad, bad) for axiom, bad in findings.items()))
+
+    @classmethod
     def combined(cls, reports: Iterable["AxiomReport"]) -> "AxiomReport":
         reports = tuple(reports)
         if not reports:
@@ -47,3 +54,9 @@ class AxiomReport:
         if len(dims) != 1:
             raise ValueError(f"cannot combine reports for different dimensions {sorted(dims)}")
         return cls(reports[0].d, tuple(c for r in reports for c in r.checks))
+
+
+def witness(mask: np.ndarray, describe: Callable[..., str]) -> str:
+    """describe(*index) at the first true entry of mask in row-major order, else ""."""
+    hits = np.argwhere(mask)
+    return describe(*(int(i) for i in hits[0])) if len(hits) else ""

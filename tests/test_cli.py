@@ -14,6 +14,43 @@ from mubgeo.report import AxiomReport, Check
 
 MOD3 = Modulus(3)
 
+# every check of verify --scope all, in report order
+ALL_CHECKS = [
+    "dapg.counts",
+    "dapg.lines_meet_once",
+    "dapg.points_join_once",
+    "dapg.degrees",
+    "dapg.columns_partition",
+    "dapg.cross_column_connected",
+    "apg.counts",
+    "apg.unique_join",
+    "apg.parallel_postulate",
+    "apg.parallel_classes",
+    "apg.cross_class_meet_once",
+    "apg.non_collinear_triple",
+    "duality.pencil_common_point",
+    "duality.class_to_column_bijection",
+    "duality.point_pencil_roundtrip",
+    "mub.eigenrelation",
+    "mub.orthonormal",
+    "mub.unbiased",
+    "op.point_hermitian",
+    "op.line_hermitian",
+    "op.point_projector",
+    "op.column_completeness",
+    "op.global_sum",
+    "op.line_sum",
+    "op.point_from_lines",
+    "op.line_trace",
+    "op.line_gram",
+    "op.line_involution",
+    "op.cross_term_distillation",
+    "op.point_route_equality",
+    "op.line_route_equality",
+    "op.point_gram_cases",
+    "op.incidence_trace",
+]
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -30,6 +67,7 @@ def test_verify_all_small_prime():
     report = json.loads(result.stdout)
     assert report["passed"] is True
     assert report["d"] == 3
+    assert [c["axiom"] for c in report["checks"]] == ALL_CHECKS
     assert "checks passed" in result.stderr
 
 
@@ -70,6 +108,13 @@ def test_eps_env_is_honored(monkeypatch):
     monkeypatch.setenv("MUBGEO_EPS", "1e-6")
     assert cli.main(["verify", "--scope", "mub", "--d", "3"]) == 0
     monkeypatch.setenv("MUBGEO_EPS", "-1")
+    assert cli.main(["verify", "--scope", "mub", "--d", "3"]) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_eps_is_input_error(monkeypatch, value):
+    assert cli.main(["verify", "--scope", "mub", "--d", "3", "--eps", value]) == 2
+    monkeypatch.setenv("MUBGEO_EPS", value)
     assert cli.main(["verify", "--scope", "mub", "--d", "3"]) == 2
 
 

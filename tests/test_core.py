@@ -4,20 +4,10 @@ import pytest
 from mubgeo.core import (
     DEFAULT_EPS,
     Modulus,
-    approx_eq,
     as_square_matrix,
     hermiticity_defect,
-    identity,
-    is_hermitian,
     is_prime,
-    mat_add,
-    mat_adjoint,
-    mat_mul,
-    mat_scale,
-    mat_trace,
-    max_abs_diff,
     omega_power,
-    zeros,
 )
 from mubgeo.errors import (
     DimensionMismatchError,
@@ -116,56 +106,6 @@ def test_omega_geometric_sum(d):
         assert abs(total - expected) <= d * DEFAULT_EPS
 
 
-def test_identity_and_zeros():
-    assert mat_trace(identity(3)) == 3
-    assert np.all(zeros(4) == 0)
-    assert identity(3).dtype == complex
-
-
-def test_mat_mul_identity():
-    x = np.arange(9, dtype=complex).reshape(3, 3)
-    assert np.array_equal(mat_mul(identity(3), x), x)
-
-
-def test_mat_mul_shape_check():
-    with pytest.raises(DimensionMismatchError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_mat_add_and_scale():
-    a = np.ones((2, 2), dtype=complex)
-    assert np.array_equal(mat_add(a, a), 2 * a)
-    assert np.array_equal(mat_scale(2j, a), 2j * a)
-    with pytest.raises(DimensionMismatchError):
-        mat_add(a, np.ones((3, 3)))
-
-
-def test_mat_adjoint_involution(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.array_equal(mat_adjoint(mat_adjoint(a)), a)
-    assert mat_adjoint(a)[0, 1] == np.conj(a[1, 0])
-
-
-def test_mat_trace_cyclic(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert abs(mat_trace(a @ b) - mat_trace(b @ a)) <= 1e-12 * np.abs(a).max() * np.abs(b).max()
-
-
-def test_mat_trace_needs_square():
-    with pytest.raises(DimensionMismatchError):
-        mat_trace(np.ones((2, 3)))
-
-
-def test_approx_eq():
-    a = identity(3)
-    assert approx_eq(a, a + 1e-12)
-    assert not approx_eq(a, a + 1e-9)
-    assert max_abs_diff(a, a) == 0
-    with pytest.raises(DimensionMismatchError):
-        approx_eq(a, identity(4))
-
-
 def test_as_square_matrix_validation():
     m = as_square_matrix([[1, 2], [3, 4]])
     assert m.dtype == complex
@@ -183,5 +123,3 @@ def test_hermiticity_defect_locates_entry():
     defect, entry = hermiticity_defect(m)
     assert defect == pytest.approx(1.0)
     assert entry in ((0, 2), (2, 0))
-    assert not is_hermitian(m)
-    assert is_hermitian(m + m.conj().T)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mubgeo import geometry
 from mubgeo.core import Modulus
 from mubgeo.errors import NoCommonPointError
 from mubgeo.geometry import (
@@ -20,6 +21,7 @@ from mubgeo.geometry import (
     check_line,
     check_point,
     duality_common_point,
+    incidence_matrix,
     incident,
     line_points,
     line_to_apg_point,
@@ -65,10 +67,12 @@ class TestIncidence:
     @pytest.mark.parametrize("d", [3, 5])
     def test_matches_membership(self, d):
         mod = Modulus(d)
-        for line in all_lines(mod):
+        n = incidence_matrix(mod)
+        assert n.shape == (d * (d + 1), d * d)
+        for j, line in enumerate(all_lines(mod)):
             members = set(line_points(mod, line))
-            for p in all_points(mod):
-                assert incident(mod, p, line) == (p in members)
+            for i, p in enumerate(all_points(mod)):
+                assert incident(mod, p, line) == (p in members) == (n[i, j] == 1.0)
 
     def test_rejects_bad_labels(self):
         mod = Modulus(3)
@@ -222,3 +226,99 @@ def test_no_common_point_is_internal_error():
     # a synthetic mismatch: wrong candidate cannot happen through the public
     # surface, so the guard is exercised via the exception type directly
     assert issubclass(NoCommonPointError, RuntimeError)
+
+
+# Fault injection at d = 5: one geometry rule returns a corrupted answer for one
+# label. Only the geometry verifiers run here; the cached operator stacks would
+# keep a corrupted rule's output for later tests.
+MOD5 = Modulus(5)
+
+
+def _corrupt(monkeypatch, rule, target, index, fix):
+    """Make geometry.<rule>(mod, target) answer with entry `index` replaced by fix(entry)."""
+    original = getattr(geometry, rule)
+
+    def faulty(mod, label):
+        out = original(mod, label)
+        if label != target:
+            return out
+        return out[:index] + (fix(out[index]),) + out[index + 1 :]
+
+    monkeypatch.setattr(geometry, rule, faulty)
+
+
+def _failures(report):
+    return [(c.axiom, c.counterexample) for c in report.checks if not c.ok]
+
+
+def _next_row(p):
+    return Point((p.m + 1) % 5, p.b)
+
+
+def _next_eta(p):
+    return ApgPoint(p.xi, (p.eta + 1) % 5)
+
+
+def _next_m0(line):
+    return Line(line.m_minus1, (line.m0 + 1) % 5)
+
+
+def test_line_points_fault_is_located(monkeypatch):
+    _corrupt(monkeypatch, "line_points", Line(1, 2), 1, _next_row)
+    assert _failures(verify_dapg_axioms(MOD5)) == [
+        ("dapg.lines_meet_once", "lines (0,2) and (1,2) share 0 points"),
+        ("dapg.points_join_once", "points (1,-1) and (2,0) lie on 0 common lines"),
+        ("dapg.degrees", "point (2,0) lies on 4 lines"),
+        ("dapg.cross_column_connected", "points (1,-1) and (2,0) are disconnected"),
+    ]
+    assert verify_apg_axioms(MOD5).passed
+
+
+def test_lines_through_point_fault_is_located(monkeypatch):
+    _corrupt(monkeypatch, "lines_through_point", Point(0, 2), 1, _next_m0)
+    assert _failures(verify_dapg_axioms(MOD5)) == [
+        ("dapg.degrees", "point (0,2) lies on 5 lines")
+    ]
+    assert verify_duality(MOD5).passed
+
+
+def test_apg_line_points_fault_is_located(monkeypatch):
+    _corrupt(monkeypatch, "apg_line_points", SlopedLine(1, 1), 1, _next_eta)
+    assert _failures(verify_apg_axioms(MOD5)) == [
+        ("apg.unique_join", "points (0,1) and (1,2) lie on 0 lines"),
+        ("apg.parallel_postulate", "2 parallels to SlopedLine(r=0, s=2) through (0,1)"),
+        (
+            "apg.parallel_classes",
+            "parallel lines SlopedLine(r=1, s=1) and SlopedLine(r=1, s=2) intersect",
+        ),
+        (
+            "apg.cross_class_meet_once",
+            "lines SlopedLine(r=0, s=2) and SlopedLine(r=1, s=1) of different classes"
+            " share 0 points",
+        ),
+    ]
+    assert verify_dapg_axioms(MOD5).passed
+
+
+def test_parallel_class_fault_is_located(monkeypatch):
+    _corrupt(monkeypatch, "parallel_class", 0, 0, _next_row)
+    assert _failures(verify_dapg_axioms(MOD5)) == [
+        ("dapg.columns_partition", "columns do not partition the point set")
+    ]
+
+
+@pytest.mark.parametrize(
+    "rule, target, index, fix",
+    [
+        ("line_points", Line(1, 2), 1, _next_row),
+        ("apg_line_points", SlopedLine(1, 1), 1, _next_eta),
+        ("apg_line_points", SlopedLine(0, 0), 0, _next_eta),
+    ],
+    ids=["dual_line", "affine_line", "first_affine_line"],
+)
+def test_duality_reports_a_broken_pencil(monkeypatch, rule, target, index, fix):
+    _corrupt(monkeypatch, rule, target, index, fix)
+    checks = {c.axiom: c for c in verify_duality(MOD5).checks}
+    for axiom in ("duality.pencil_common_point", "duality.point_pencil_roundtrip"):
+        assert not checks[axiom].ok
+        assert checks[axiom].counterexample
