@@ -113,11 +113,17 @@ def all_lines(mod: Modulus) -> tuple[Line, ...]:
 def line_points(mod: Modulus, line: Line) -> tuple[Point, ...]:
     """The d+1 points of a line, one per column, in column order -1, 0, .., d-1."""
     check_line(mod, line)
-    pts = [Point(line.m_minus1, CB_COLUMN)]
-    for b in range(mod.d):
-        m = (mod.half(b) * (2 * line.m_minus1 - 1) + line.m0) % mod.d
-        pts.append(Point(m, b))
-    return tuple(pts)
+    return (Point(line.m_minus1, CB_COLUMN),) + tuple(
+        Point(line_row(mod, line, b), b) for b in range(mod.d)
+    )
+
+
+def line_row(mod: Modulus, line: Line, b: int):
+    """The row at which a line crosses column b >= 0: half(b)(2 m_minus1 - 1) + m0 mod d.
+
+    The label may hold integer arrays of one shape; the rows then come back as one.
+    """
+    return (mod.half(b) * (2 * line.m_minus1 - 1) + line.m0) % mod.d
 
 
 def incident(mod: Modulus, point: Point, line: Line) -> bool:
@@ -126,8 +132,7 @@ def incident(mod: Modulus, point: Point, line: Line) -> bool:
     check_line(mod, line)
     if point.b == CB_COLUMN:
         return point.m == line.m_minus1
-    expected = (mod.half(point.b) * (2 * line.m_minus1 - 1) + line.m0) % mod.d
-    return point.m == expected
+    return point.m == line_row(mod, line, point.b)
 
 
 def lines_through_point(mod: Modulus, point: Point) -> tuple[Line, ...]:

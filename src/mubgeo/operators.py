@@ -26,10 +26,7 @@ from .geometry import (
     format_line,
     format_point,
     incidence_matrix,
-    line_index,
     line_points,
-    lines_through_point,
-    point_index,
 )
 from .mub import mub_state
 from .report import AxiomReport, witness
@@ -95,53 +92,18 @@ def point_operator_stack(mod: Modulus) -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=None)
-def line_point_indices(mod: Modulus) -> np.ndarray:
-    """For each line (row, line_index order): the point_index of its d+1 points."""
-    table = np.array(
-        [[point_index(mod, p) for p in line_points(mod, line)] for line in all_lines(mod)]
-    )
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def point_line_indices(mod: Modulus) -> np.ndarray:
-    """For each point (row, point_index order): the line_index of its d lines."""
-    table = np.array(
-        [[line_index(mod, ln) for ln in lines_through_point(mod, p)] for p in all_points(mod)]
-    )
-    table.setflags(write=False)
-    return table
+def _over_lines(n: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """For each line, the sum of a point-indexed stack over the line's points: N^T stack."""
+    d = stack.shape[-1]
+    return (n.T @ stack.reshape(len(stack), -1)).reshape(-1, d, d)
 
 
 @lru_cache(maxsize=None)
 def line_operator_stack(mod: Modulus) -> np.ndarray:
-    """All d^2 line operators, stacked in line_index order. Read-only."""
-    points = point_operator_stack(mod)
-    table = line_point_indices(mod)
-    stack = points[table].sum(axis=1) - np.eye(mod.d, dtype=complex)
+    """All d^2 line operators, stacked in line_index order, as N^T A - I. Read-only."""
+    stack = _over_lines(incidence_matrix(mod), point_operator_stack(mod)) - np.eye(mod.d)
     stack.setflags(write=False)
     return stack
-
-
-def gram_point(mod: Modulus, point_a: Point, point_b: Point) -> float:
-    """tr of the product of two point projectors.
-
-    Equal labels give 1, distinct labels in one column give 0, and labels in
-    different columns give 1/d; the imaginary part is discarded after being
-    verified negligible elsewhere.
-    """
-    a = point_operator_stack(mod)[point_index(mod, point_a)]
-    b = point_operator_stack(mod)[point_index(mod, point_b)]
-    return float(np.trace(a @ b).real)
-
-
-def incidence_trace(mod: Modulus, point: Point, line: Line) -> float:
-    """tr of a point projector against a line operator: 1 if incident, else 0."""
-    a = point_operator_stack(mod)[point_index(mod, point)]
-    p = line_operator_stack(mod)[line_index(mod, line)]
-    return float(np.trace(a @ p).real)
 
 
 def _worst(devs: np.ndarray, tol: float, what: str, *labels) -> str:
@@ -176,10 +138,6 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     eye = np.eye(d)
     tol = d * eps
     findings: dict[str, str] = {}
-
-    def over_lines(stack: np.ndarray) -> np.ndarray:
-        """For each line, the sum of a point-indexed stack over the line's points."""
-        return (n.T @ stack.reshape(len(points), -1)).reshape(len(lines), d, d)
 
     dev = np.abs(a_stack - a_stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     findings["op.point_hermitian"] = _worst(dev, eps, "point operator", pt_labels)
@@ -219,8 +177,8 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     dev = np.abs(p_stack @ p_stack - eye).max(axis=(1, 2))
     findings["op.line_involution"] = _worst(dev, tol, "square of line operator", ln_labels)
 
-    s = over_lines(a_stack)
-    dev = np.abs(s @ s - over_lines(a_sq) - s).max(axis=(1, 2))
+    s = p_stack + eye  # the sum of each line's projectors
+    dev = np.abs(s @ s - _over_lines(n, a_sq) - s).max(axis=(1, 2))
     findings["op.cross_term_distillation"] = witness(
         dev > tol, lambda j: f"cross terms on line {ln_labels[j]} deviate by {dev[j]:.3e}"
     )

@@ -5,6 +5,11 @@ line. The map inverts exactly: B = (1/d) sum_j V(j) P_j. Expectation values
 reduce to the pairing tr(rho B) = (1/d) sum_j V_rho(j) V_B(j), and the
 coefficients of a state are recoverable from its basis-measurement
 probabilities alone: V(j) = sum over the points of j of p(point), minus 1.
+
+No operator is built. P_(a, m0) is supported on the anti-diagonal n + n' = 2a
+with phases omega^(-(n - n') m0), so the map is one length-d FFT per
+anti-diagonal and reconstruction its inverse; probabilities and tomography
+follow the incidence rule of the dual plane one column at a time.
 """
 
 from __future__ import annotations
@@ -21,14 +26,7 @@ from .errors import (
     MissingLineError,
     NonHermitianInputError,
 )
-from .geometry import Line, Point, check_point
-from .operators import (
-    line_operator_stack,
-    line_point_indices,
-    point_index,
-    point_line_indices,
-    point_operator_stack,
-)
+from .geometry import Line, Point, check_line, check_point, line_row, lines_through_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +52,8 @@ class QuasiDistribution:
         object.__setattr__(self, "values", arr)
 
     def value(self, line: Line) -> float:
-        return float(self.values[line.m_minus1 % self.mod.d, line.m0 % self.mod.d])
+        check_line(self.mod, line)
+        return float(self.values[line.m_minus1, line.m0])
 
     def normalization(self) -> float:
         """(1/d) times the sum of all values; equals the trace of the mapped operator."""
@@ -99,27 +98,57 @@ class MubProbabilities:
             raise ValueError(f"probabilities outside [0, 1]: min {lo:.6g}, max {hi:.6g}")
 
 
+def _line_coefficients(b: np.ndarray) -> np.ndarray:
+    """tr(B P_(a, m0)) for every line as a d x d table.
+
+    V(a, m0) = omega^(2 a m0) times the FFT of the anti-diagonal
+    c_a[n] = B[2a - n, n], read at frequency 2 m0.
+    """
+    d = len(b)
+    k = np.arange(d)
+    a = k[:, None]
+    spectrum = np.fft.fft(b[(2 * a - k) % d, k], axis=1)
+    return spectrum[:, 2 * k % d] * np.exp(2j * np.pi * (2 * a * k % d) / d)
+
+
+def _rows_by_column(mod: Modulus):
+    """For each column b = -1..d-1, the row where every line crosses it (a d x d table)."""
+    line = Line(*np.ogrid[: mod.d, : mod.d])
+    yield np.broadcast_to(line.m_minus1, (mod.d, mod.d))
+    for b in range(mod.d):
+        yield line_row(mod, line, b)
+
+
 def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistribution:
-    """Coefficients tr(B P_j) of a Hermitian matrix B over all lines."""
+    """Coefficients tr(B P_j) of a Hermitian matrix B over all lines.
+
+    Hermiticity and the imaginary residue are held to eps * max(1, |B|_F).
+    """
     b = as_square_matrix(matrix, mod.d)
+    tol = eps * max(1.0, float(np.hypot.reduce(np.abs(b), axis=None)))  # |B|_F, no overflow
     defect, (i, j) = hermiticity_defect(b)
-    if defect > eps:
+    if defect > tol:
         raise NonHermitianInputError(
-            f"input is not Hermitian within {eps:g}:"
+            f"input is not Hermitian within {tol:g}:"
             f" max asymmetry {defect:.3e} at entry ({i},{j})"
         )
-    vals = np.einsum("aij,ji->a", line_operator_stack(mod), b)
+    vals = _line_coefficients(b)
     worst_imag = float(np.abs(vals.imag).max())
-    if worst_imag > eps:
+    if worst_imag > tol:
         raise NonHermitianInputError(f"coefficients carry imaginary part {worst_imag:.3e}")
-    return QuasiDistribution(mod, vals.real.reshape(mod.d, mod.d))
+    return QuasiDistribution(mod, vals.real)
 
 
 def reconstruct(quasi: QuasiDistribution) -> np.ndarray:
-    """The unique Hermitian matrix whose coefficients are the given values."""
+    """The unique Hermitian matrix whose coefficients are the given values.
+
+    B[n, n'] = (1/d) sum_m0 V(half(n + n'), m0) omega^(-(n - n') m0): the FFT
+    of V along m0, read at row half(n + n') and frequency n - n'.
+    """
     mod = quasi.mod
-    flat = quasi.values.reshape(-1)
-    return np.einsum("a,aij->ij", flat, line_operator_stack(mod)) / mod.d
+    n, k = np.indices((mod.d, mod.d))
+    spectrum = np.fft.fft(quasi.values, axis=1)
+    return spectrum[mod.half(n + k), (n - k) % mod.d] / mod.d
 
 
 def pair_expectation(first: QuasiDistribution, second: QuasiDistribution) -> float:
@@ -155,13 +184,21 @@ def validate_density_matrix(
 def probabilities_from_state(
     mod: Modulus, rho, eps: float = DEFAULT_EPS, check_psd: bool = True
 ) -> MubProbabilities:
-    """Outcome probabilities tr(rho A) for every basis state projector A."""
+    """Outcome probabilities tr(rho A) for every basis state projector A.
+
+    A projector is the average of the d line operators through its point, so
+    p(alpha) = (1/d) sum over the lines j through alpha of V(j).
+    """
     rho = validate_density_matrix(mod, rho, eps, check_psd)
-    vals = np.einsum("aij,ji->a", point_operator_stack(mod), rho)
+    coefficients = _line_coefficients(rho)
+    vals = np.zeros((mod.d + 1, mod.d), dtype=complex)
+    for column, rows in zip(vals, _rows_by_column(mod)):
+        np.add.at(column, rows, coefficients)
+    vals /= mod.d
     worst_imag = float(np.abs(vals.imag).max())
     if worst_imag > eps:
         raise NonHermitianInputError(f"probabilities carry imaginary part {worst_imag:.3e}")
-    return MubProbabilities(mod, vals.real.reshape(mod.d + 1, mod.d))
+    return MubProbabilities(mod, vals.real)
 
 
 def quasi_from_probabilities(
@@ -180,9 +217,8 @@ def quasi_from_probabilities(
         raise ColumnNotNormalizedError(
             f"column b={worst - 1} sums to {sums[worst]:.12g}, expected 1 within {eps:g}"
         )
-    flat = probs.values.reshape(-1)
-    vals = flat[line_point_indices(mod)].sum(axis=1) - 1.0
-    return QuasiDistribution(mod, vals.reshape(mod.d, mod.d))
+    vals = sum(column[rows] for column, rows in zip(probs.values, _rows_by_column(mod)))
+    return QuasiDistribution(mod, vals - 1.0)
 
 
 def marginalize(quasi: QuasiDistribution, point: Point) -> float:
@@ -190,7 +226,5 @@ def marginalize(quasi: QuasiDistribution, point: Point) -> float:
 
     Recovers the outcome probability of that point for a state's distribution.
     """
-    mod = quasi.mod
-    check_point(mod, point)
-    idx = point_line_indices(mod)[point_index(mod, point)]
-    return float(quasi.values.reshape(-1)[idx].sum() / mod.d)
+    lines = lines_through_point(quasi.mod, point)
+    return float(sum(quasi.values[line] for line in lines) / quasi.mod.d)

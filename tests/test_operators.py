@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from mubgeo.core import Modulus
-from mubgeo.geometry import Line, Point, all_lines, all_points, incident, line_points
+from mubgeo.geometry import (
+    Line,
+    Point,
+    all_lines,
+    all_points,
+    incident,
+    line_index,
+    line_points,
+    point_index,
+)
 from mubgeo.mub import mub_state
 from mubgeo.operators import (
-    gram_point,
-    incidence_trace,
-    line_index,
     line_operator_direct,
     line_operator_stack,
     line_operator_sum,
-    point_index,
     point_operator,
     point_operator_direct,
     point_operator_stack,
@@ -101,27 +106,6 @@ def test_operator_incidence_matches_geometry(d):
         for line in all_lines(mod):
             lam = np.trace(a @ line_operator_direct(mod, line)).real
             assert abs(lam - (1 if incident(mod, p, line) else 0)) <= d * 1e-10
-
-
-def test_gram_point_cases():
-    mod = Modulus(3)
-    assert gram_point(mod, Point(0, 1), Point(0, 1)) == pytest.approx(1, abs=1e-10)
-    assert gram_point(mod, Point(0, 1), Point(1, 1)) == pytest.approx(0, abs=1e-10)
-    assert gram_point(mod, Point(0, 1), Point(1, 2)) == pytest.approx(1 / 3, abs=1e-10)
-
-
-def test_incidence_trace_examples():
-    mod = Modulus(3)
-    assert incidence_trace(mod, Point(0, 2), Line(1, 2)) == pytest.approx(1, abs=1e-10)
-    assert incidence_trace(mod, Point(1, 2), Line(1, 2)) == pytest.approx(0, abs=1e-10)
-
-
-@pytest.mark.parametrize("d", [3, 5])
-def test_incidence_trace_sums_over_line(d):
-    mod = Modulus(d)
-    for line in all_lines(mod):
-        total = sum(incidence_trace(mod, p, line) for p in line_points(mod, line))
-        assert total == pytest.approx(d + 1, abs=d * (d + 1) * 1e-10)
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_density, random_hermitian_trace_one
 
-from mubgeo.core import Modulus
+from mubgeo.core import Modulus, hermiticity_defect
 from mubgeo.errors import (
     ColumnNotNormalizedError,
     DimensionMismatchError,
@@ -11,7 +11,12 @@ from mubgeo.errors import (
     NonHermitianInputError,
 )
 from mubgeo.geometry import Line, Point, all_lines, all_points, lines_through_point
-from mubgeo.operators import line_operator_direct, point_operator
+from mubgeo.operators import (
+    line_operator_direct,
+    line_operator_stack,
+    point_operator,
+    point_operator_stack,
+)
 from mubgeo.phasespace import (
     MubProbabilities,
     QuasiDistribution,
@@ -56,6 +61,22 @@ def test_map_rejects_non_hermitian():
         map_operator(MOD3, matrix)
 
 
+def test_map_scales_tolerance_with_norm():
+    # Hermitian up to rounding: entries near 1e7 leave an absolute asymmetry of ~2.5e-9
+    d = 7
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    matrix = u @ np.diag(np.arange(d) * 1e7) @ u.conj().T
+    assert hermiticity_defect(matrix)[0] > 1e-9
+    back = reconstruct(map_operator(Modulus(d), matrix))
+    assert np.abs(back - matrix).max() <= 1e-13 * d * np.linalg.norm(matrix)
+    # a norm too large to square must not lift the bound to infinity
+    huge = np.full((3, 3), 1e200 + 0j)
+    huge[0, 1] *= 1 + 1e-5
+    with pytest.raises(NonHermitianInputError, match=r"\(0,1\)"):
+        map_operator(MOD3, huge)
+
+
 def test_map_rejects_wrong_size():
     with pytest.raises(DimensionMismatchError):
         map_operator(MOD3, np.eye(4))
@@ -68,6 +89,12 @@ def test_quasi_table_validation():
         QuasiDistribution(MOD3, np.full((3, 3), np.nan))
     with pytest.raises(ValueError):
         QuasiDistribution(MOD3, np.zeros((3, 3), dtype=complex))
+
+
+def test_quasi_value_rejects_out_of_range_label():
+    quasi = map_operator(Modulus(5), np.eye(5) / 5)
+    with pytest.raises(ValueError, match=r"invalid line label \(7,-3\) for d=5"):
+        quasi.value(Line(7, -3))
 
 
 def test_reconstruct_uniform():
@@ -201,3 +228,15 @@ def test_quasi_values_are_frozen():
     quasi = map_operator(MOD3, np.eye(3) / 3)
     with pytest.raises(ValueError):
         quasi.values[0, 0] = 7.0
+
+
+def test_phase_space_functions_build_no_operator_stack():
+    caches = (point_operator_stack, line_operator_stack)
+    before = [cache.cache_info()[:2] for cache in caches]
+    mod = Modulus(11)
+    rho = np.eye(11) / 11
+    quasi = map_operator(mod, rho)
+    reconstruct(quasi)
+    quasi_from_probabilities(probabilities_from_state(mod, rho))
+    marginalize(quasi, Point(3, 4))
+    assert [cache.cache_info()[:2] for cache in caches] == before
