@@ -8,8 +8,8 @@ probabilities alone: V(j) = sum over the points of j of p(point), minus 1.
 
 No operator is built. P_(a, m0) is supported on the anti-diagonal n + n' = 2a
 with phases omega^(-(n - n') m0), so the map is one length-d FFT per
-anti-diagonal and reconstruction its inverse; probabilities and tomography
-follow the incidence rule of the dual plane one column at a time.
+anti-diagonal and reconstruction its inverse; each basis's probabilities are
+one slice of FFT2(V) (Fourier-slice theorem), and tomography inverts that.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     MissingLineError,
     NonHermitianInputError,
 )
-from .geometry import Line, Point, check_line, check_point, line_row, lines_through_point
+from .geometry import Line, Point, check_line, check_point, lines_through_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +111,18 @@ def _line_coefficients(b: np.ndarray) -> np.ndarray:
     return spectrum[:, 2 * k % d] * np.exp(2j * np.pi * (2 * a * k % d) / d)
 
 
-def _rows_by_column(mod: Modulus):
-    """For each column b = -1..d-1, the row where every line crosses it (a d x d table)."""
-    line = Line(*np.ogrid[: mod.d, : mod.d])
-    yield np.broadcast_to(line.m_minus1, (mod.d, mod.d))
-    for b in range(mod.d):
-        yield line_row(mod, line, b)
+def _slices(mod: Modulus) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Index into FFT2(V) and phase of frequency k of column b = -1..d-1, as tables [b+1, k]."""
+    k = np.arange(mod.d)
+    j = np.r_[1, k][:, None]  # column -1 runs along direction (1, 0), column b along (b, 1)
+    m = np.r_[0, np.ones(mod.d, dtype=int)][:, None]
+    return (k * j % mod.d, k * m), np.exp(2j * np.pi * k / mod.d)[k * mod.half(j * m) % mod.d]
 
 
 def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistribution:
     """Coefficients tr(B P_j) of a Hermitian matrix B over all lines.
 
-    Hermiticity and the imaginary residue are held to eps * max(1, |B|_F).
+    Hermiticity is held to eps * max(1, |B|_F), the imaginary residue (d entries) to d times that.
     """
     b = as_square_matrix(matrix, mod.d)
     tol = eps * max(1.0, float(np.hypot.reduce(np.abs(b), axis=None)))  # |B|_F, no overflow
@@ -134,7 +134,7 @@ def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistrib
         )
     vals = _line_coefficients(b)
     worst_imag = float(np.abs(vals.imag).max())
-    if worst_imag > tol:
+    if worst_imag > mod.d * tol:
         raise NonHermitianInputError(f"coefficients carry imaginary part {worst_imag:.3e}")
     return QuasiDistribution(mod, vals.real)
 
@@ -186,17 +186,14 @@ def probabilities_from_state(
 ) -> MubProbabilities:
     """Outcome probabilities tr(rho A) for every basis state projector A.
 
-    A projector is the average of the d line operators through its point, so
-    p(alpha) = (1/d) sum over the lines j through alpha of V(j).
+    p(alpha) = (1/d) sum of V(j) over the lines j through alpha, so with W = FFT2(V) the FFT
+    of p(., b) is omega^(k half(b)) W[k b, k] / d, and W[k, 0] / d for b = -1.
     """
     rho = validate_density_matrix(mod, rho, eps, check_psd)
-    coefficients = _line_coefficients(rho)
-    vals = np.zeros((mod.d + 1, mod.d), dtype=complex)
-    for column, rows in zip(vals, _rows_by_column(mod)):
-        np.add.at(column, rows, coefficients)
-    vals /= mod.d
+    index, phases = _slices(mod)
+    vals = np.fft.ifft(np.fft.fft2(_line_coefficients(rho))[index] * phases, axis=1) / mod.d
     worst_imag = float(np.abs(vals.imag).max())
-    if worst_imag > eps:
+    if worst_imag > mod.d * eps:
         raise NonHermitianInputError(f"probabilities carry imaginary part {worst_imag:.3e}")
     return MubProbabilities(mod, vals.real)
 
@@ -207,7 +204,7 @@ def quasi_from_probabilities(
     """Tomography: coefficients from measured probabilities alone.
 
     Each column must sum to 1 within eps (every basis is measured completely);
-    then V(j) is the sum of the d+1 incident probabilities minus 1.
+    then V(j) is the sum of the d+1 incident probabilities minus 1, found by inverting the slices.
     """
     mod = probs.mod
     sums = probs.column_sums()
@@ -217,8 +214,11 @@ def quasi_from_probabilities(
         raise ColumnNotNormalizedError(
             f"column b={worst - 1} sums to {sums[worst]:.12g}, expected 1 within {eps:g}"
         )
-    vals = sum(column[rows] for column, rows in zip(probs.values, _rows_by_column(mod)))
-    return QuasiDistribution(mod, vals - 1.0)
+    index, phases = _slices(mod)
+    w = np.empty((mod.d, mod.d), dtype=complex)
+    w[index] = np.fft.fft(probs.values, axis=1) * phases.conj()  # each frequency on one slice
+    w[0, 0] = sums.sum() - mod.d  # on every slice: sum(V) / d
+    return QuasiDistribution(mod, np.fft.ifft2(w).real * mod.d)
 
 
 def marginalize(quasi: QuasiDistribution, point: Point) -> float:

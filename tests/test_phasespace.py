@@ -30,6 +30,7 @@ from mubgeo.phasespace import (
 )
 
 MOD3 = Modulus(3)
+MOD5 = Modulus(5)
 A_0_2 = point_operator(MOD3, Point(0, 2))
 
 
@@ -75,6 +76,29 @@ def test_map_scales_tolerance_with_norm():
     huge[0, 1] *= 1 + 1e-5
     with pytest.raises(NonHermitianInputError, match=r"\(0,1\)"):
         map_operator(MOD3, huge)
+
+
+ANTI_HERMITIAN_J = 1j * np.ones((5, 5))  # every entry off Hermitian by twice its size
+
+
+def test_map_holds_imaginary_residue_to_d_times_hermiticity_bound():
+    # defect 9e-11 passes the 1e-10 entrywise check; a coefficient sums 5 such entries
+    matrix = np.eye(5) / 5 + 4.5e-11 * ANTI_HERMITIAN_J
+    quasi = map_operator(MOD5, matrix)
+    assert np.abs(quasi.values - map_operator(MOD5, np.eye(5) / 5).values).max() <= 1e-15
+
+
+def test_probabilities_hold_imaginary_residue_to_d_times_hermiticity_bound():
+    rho = np.eye(5) / 5 + 4.5e-11 * (ANTI_HERMITIAN_J - 1j * np.eye(5))
+    probs = probabilities_from_state(MOD5, rho)
+    assert np.abs(probs.values - 1 / 5).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kernel", [map_operator, probabilities_from_state])
+def test_defect_just_above_hermiticity_bound_raises(kernel):
+    matrix = np.eye(5) / 5 + 5.5e-11 * ANTI_HERMITIAN_J  # defect 1.1e-10 > 1e-10
+    with pytest.raises(NonHermitianInputError, match="not Hermitian"):
+        kernel(MOD5, matrix)
 
 
 def test_map_rejects_wrong_size():
@@ -198,6 +222,15 @@ def test_tomography_consistency_random(rng, d):
         via_probs = quasi_from_probabilities(probabilities_from_state(mod, rho))
         direct = map_operator(mod, rho)
         assert np.abs(via_probs.values - direct.values).max() <= d * 1e-10
+
+
+def test_tomography_matches_map_at_large_d():
+    d = 401
+    mod = Modulus(d)
+    rho = random_density(np.random.default_rng(401), d)
+    via_probs = quasi_from_probabilities(probabilities_from_state(mod, rho))
+    bound = 1e-13 * d * max(1.0, np.linalg.norm(rho))
+    assert np.abs(via_probs.values - map_operator(mod, rho).values).max() <= bound
 
 
 def test_quasi_from_probabilities_rejects_unnormalized():

@@ -12,9 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from mubgeo.core import Modulus
 from mubgeo.geometry import incidence_matrix
-from mubgeo.mub import x_matrix, z_matrix
+from mubgeo.mub import mub_family, x_matrix, z_matrix
 from mubgeo.operators import line_operator_stack, point_operator_stack
 from mubgeo.phasespace import (
+    MubProbabilities,
     map_operator,
     pair_expectation,
     probabilities_from_state,
@@ -35,6 +36,13 @@ def square(draw, primes):
     d = draw(st.sampled_from(primes))
     parts = draw(arrays(np.float64, (2, d, d), elements=entries))
     return d, parts[0] + 1j * parts[1]
+
+
+@st.composite
+def table(draw, primes):
+    """(d, T) with T a real (d+1) x d table."""
+    d = draw(st.sampled_from(primes))
+    return d, draw(arrays(np.float64, (d + 1, d), elements=entries))
 
 
 def hermitian(g):
@@ -91,6 +99,27 @@ def test_tomography_matches_map(dg):
     rho = state(g)
     via_probs = quasi_from_probabilities(probabilities_from_state(mod, rho))
     assert np.abs(via_probs.values - map_operator(mod, rho).values).max() <= tol(d, rho)
+
+
+@deterministic
+@given(square(PRIMES))
+def test_probabilities_match_basis_diagonals(dg):
+    d, g = dg
+    mod = Modulus(d)
+    rho = state(g)
+    expected = [np.einsum("ni,nm,mi->i", u.conj(), rho, u).real for u in mub_family(mod).bases]
+    assert np.abs(probabilities_from_state(mod, rho).values - expected).max() <= tol(d, rho)
+
+
+@deterministic
+@given(table(ORACLE_PRIMES))
+def test_tomography_is_incidence_sum_on_any_normalised_table(dt):
+    d, t = dt
+    mod = Modulus(d)
+    p = t - t.mean(axis=1, keepdims=True) + 1 / d  # columns sum to 1, no state behind
+    quasi = quasi_from_probabilities(MubProbabilities(mod, p))
+    expected = incidence_matrix(mod).T @ p.reshape(-1) - 1.0
+    assert np.abs(quasi.values.reshape(-1) - expected).max() <= tol(d, p)
 
 
 @deterministic
