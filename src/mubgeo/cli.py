@@ -59,6 +59,27 @@ def _resolve_eps(args) -> float:
     return eps
 
 
+def _verify_peak_bytes(d: int, scope: str) -> int:
+    """An upper estimate, in bytes, of the peak memory of verify at d.
+
+    Counted from the largest arrays alive at once: the geometry and duality
+    checks hold about eight float (d(d+1))^2 meet, join and mask matrices; the
+    operator battery about twelve complex stacks and Grams of at most
+    (d(d+1))^2 entries; the mub checks about two copies of the d+1 complex
+    d x d bases. Scopes run one after another, so --scope all needs the largest,
+    plus 64 MB for the interpreter and numpy (~30 MB measured). Measured peaks
+    of --scope all: ~56 MB at d = 19, ~190 MB at d = 31, ~500 MB at d = 41.
+    """
+    p2 = (d * (d + 1)) ** 2
+    need = {
+        "geometry": 64 * p2,
+        "duality": 64 * p2,
+        "mub": 32 * (d + 1) * d * d,
+        "operators": 192 * p2,
+    }
+    return 64 * 2**20 + max(need.values() if scope == "all" else [need[scope]])
+
+
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -91,6 +112,19 @@ def _write_output(text: str, path: str | None) -> None:
 def cmd_verify(args) -> int:
     mod = Modulus(args.d)
     eps = _resolve_eps(args)
+    ceiling = 1.0 / (2 * mod.d * mod.d)
+    if eps >= ceiling:
+        raise ValueError(
+            f"eps {eps:g} is not below 1/(2 d^2) = {ceiling:.3g}: held to d*eps, the 1/d gap"
+            " of the point Gram cases could no longer fail"
+        )
+    need = _verify_peak_bytes(mod.d, args.scope)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"verify --scope {args.scope} at d={mod.d} needs about {need / 2**30:.1f} GiB,"
+            f" more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     reports = []
     if args.scope in ("geometry", "all"):
         reports.append(verify_dapg_axioms(mod))

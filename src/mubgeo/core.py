@@ -7,6 +7,7 @@ numpy complex arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,17 @@ def omega_power(d: int, k: int) -> complex:
     if d < 1:
         raise UnsupportedDimensionError(f"d={d} must be positive")
     return complex(np.exp(2j * np.pi * (k % d) / d))
+
+
+@lru_cache(maxsize=None)
+def roots_of_unity(d: int) -> tuple[complex, ...]:
+    """omega_power(d, k) for k = 0..d-1, as Python scalars.
+
+    Tables are indexed by exponents reduced mod d. Scale the scalars before
+    building an array from them: numpy's array exp and its complex-by-int
+    division can differ from the scalar path in the last ulp.
+    """
+    return tuple(omega_power(d, k) for k in range(d))
 
 
 def as_square_matrix(values, expected_d: int | None = None) -> np.ndarray:

@@ -16,6 +16,7 @@ lines indexed by an affine line all pass through a single dual-plane point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -113,15 +114,14 @@ def all_lines(mod: Modulus) -> tuple[Line, ...]:
 def line_points(mod: Modulus, line: Line) -> tuple[Point, ...]:
     """The d+1 points of a line, one per column, in column order -1, 0, .., d-1."""
     check_line(mod, line)
-    return (Point(line.m_minus1, CB_COLUMN),) + tuple(
-        Point(line_row(mod, line, b), b) for b in range(mod.d)
-    )
+    rows = line_row(mod, line, np.arange(mod.d)).tolist()
+    return (Point(line.m_minus1, CB_COLUMN),) + tuple(map(Point, rows, range(mod.d)))
 
 
 def line_row(mod: Modulus, line: Line, b: int):
     """The row at which a line crosses column b >= 0: half(b)(2 m_minus1 - 1) + m0 mod d.
 
-    The label may hold integer arrays of one shape; the rows then come back as one.
+    The label and b may hold integer arrays that broadcast; the rows then come back as one.
     """
     return (mod.half(b) * (2 * line.m_minus1 - 1) + line.m0) % mod.d
 
@@ -167,7 +167,8 @@ def apg_line_points(mod: Modulus, apg_line: ApgLine) -> tuple[ApgPoint, ...]:
     check_apg_line(mod, apg_line)
     if isinstance(apg_line, VerticalLine):
         return tuple(ApgPoint(apg_line.xi, eta) for eta in range(mod.d))
-    return tuple(ApgPoint(xi, (apg_line.r * xi + apg_line.s) % mod.d) for xi in range(mod.d))
+    eta = (apg_line.r * np.arange(mod.d) + apg_line.s) % mod.d
+    return tuple(map(ApgPoint, range(mod.d), eta.tolist()))
 
 
 def line_to_apg_point(line: Line) -> ApgPoint:
@@ -191,11 +192,12 @@ def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:
         common = Point(apg_line.xi, CB_COLUMN)
     else:
         common = Point((apg_line.s + mod.half(apg_line.r)) % mod.d, (-apg_line.r) % mod.d)
-    for apg_pt in apg_line_points(mod, apg_line):
-        if not incident(mod, common, apg_point_to_line(apg_pt)):
-            raise NoCommonPointError(
-                f"pencil of affine line {apg_line!r} misses {format_point(common)}"
-            )
+    pencil = Line(*_line_fields(mod, apg_line_points(mod, apg_line)))
+    rows = pencil.m_minus1 if common.b == CB_COLUMN else line_row(mod, pencil, common.b)
+    if (rows != common.m).any():
+        raise NoCommonPointError(
+            f"pencil of affine line {apg_line!r} misses {format_point(common)}"
+        )
     return common
 
 
@@ -211,16 +213,51 @@ def line_index(mod: Modulus, line: Line) -> int:
     return line.m_minus1 * mod.d + line.m0
 
 
+def _label_array(labels) -> np.ndarray:
+    """A sequence of two-field labels as a (2, len) integer array, one row per field."""
+    return np.fromiter(chain.from_iterable(labels), dtype=np.int64).reshape(-1, 2).T
+
+
+def _point_indices(mod: Modulus, points) -> np.ndarray:
+    """point_index of each point in a sequence, as one integer array."""
+    m, b = _label_array(points)
+    bad = (m < 0) | (m >= mod.d) | (b < CB_COLUMN) | (b >= mod.d)
+    if bad.any():
+        check_point(mod, Point(*points[int(np.argmax(bad))]))
+    return (b + 1) * mod.d + m
+
+
+def _line_fields(mod: Modulus, lines) -> tuple[np.ndarray, np.ndarray]:
+    """The two labels of each line (or affine point read as one) in a sequence, as two arrays."""
+    a, m0 = _label_array(lines)
+    bad = (a < 0) | (a >= mod.d) | (m0 < 0) | (m0 >= mod.d)
+    if bad.any():
+        check_line(mod, Line(*lines[int(np.argmax(bad))]))
+    return a, m0
+
+
+def _line_indices(mod: Modulus, lines) -> np.ndarray:
+    """line_index of each line (or affine point read as one) in a sequence, as one array."""
+    a, m0 = _line_fields(mod, lines)
+    return a * mod.d + m0
+
+
+def _scatter(rows: int, groups, indices) -> np.ndarray:
+    """0/1 float matrix whose column k is 1 at indices(groups[k]), in one scatter."""
+    at = indices([x for g in groups for x in g])
+    out = np.zeros((rows, len(groups)))
+    out[at, np.repeat(np.arange(len(groups)), [len(g) for g in groups])] = 1.0
+    return out
+
+
 def incidence_matrix(mod: Modulus) -> np.ndarray:
     """The dual plane's incidence matrix N, built from line_points.
 
     N[point_index, line_index] is 1 where the point lies on the line, else 0:
     d(d+1) rows, d^2 columns, float64 so that products count exactly.
     """
-    n = np.zeros((mod.d * (mod.d + 1), mod.d * mod.d))
-    for j, line in enumerate(all_lines(mod)):
-        n[[point_index(mod, p) for p in line_points(mod, line)], j] = 1.0
-    return n
+    groups = [line_points(mod, line) for line in all_lines(mod)]
+    return _scatter(mod.d * (mod.d + 1), groups, lambda p: _point_indices(mod, p))
 
 
 def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
@@ -230,11 +267,18 @@ def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
     rows, d(d+1) columns, float64. Row a = xi*d + eta follows apg_points, which
     is also the line_index of the dual-plane line that the point labels.
     """
-    m = np.zeros((mod.d * mod.d, mod.d * (mod.d + 1)))
-    for k, apg_line in enumerate(apg_lines(mod)):
-        rows = [line_index(mod, apg_point_to_line(p)) for p in apg_line_points(mod, apg_line)]
-        m[rows, k] = 1.0
-    return m
+    groups = [apg_line_points(mod, apg_line) for apg_line in apg_lines(mod)]
+    return _scatter(mod.d * mod.d, groups, lambda p: _line_indices(mod, p))
+
+
+def _distinct_columns(gram: np.ndarray) -> int:
+    """How many distinct columns a 0/1 matrix X has, read off its Gram matrix X^T X.
+
+    Columns i and j are equal exactly when they share as many ones as each holds.
+    """
+    size = np.diag(gram)
+    same = (gram == size[:, None]) & (gram == size[None, :])
+    return len(gram) - int(np.triu(same, 1).any(axis=0).sum())
 
 
 def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
@@ -261,12 +305,11 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     def two_points(i: int, j: int) -> str:
         return f"points {format_point(points[i])} and {format_point(points[j])}"
 
-    distinct = len(np.unique(n.T, axis=0))
+    distinct = _distinct_columns(meet)
     ok_counts = len(lines) == d * d and len(points) == d * (d + 1) and distinct == d * d
 
-    pencils = np.zeros_like(n)
-    for i, p in enumerate(points):
-        pencils[i, [line_index(mod, ln) for ln in lines_through_point(mod, p)]] = 1.0
+    groups = [lines_through_point(mod, p) for p in points]
+    pencils = _scatter(len(lines), groups, lambda ln: _line_indices(mod, ln)).T
     bad_degree = witness(
         (pencils != n).any(axis=1) | (pencils.sum(axis=1) != d),
         lambda i: f"point {format_point(points[i])} lies on {int(n[i].sum())} lines",
@@ -278,7 +321,7 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
         f" {np.repeat(np.arange(CB_COLUMN, d), profile[:, j]).tolist()}",
     )
 
-    members = [point_index(mod, p) for b in range(CB_COLUMN, d) for p in parallel_class(mod, b)]
+    members = _point_indices(mod, [p for b in range(CB_COLUMN, d) for p in parallel_class(mod, b)])
     ok_part = (np.bincount(members, minlength=len(points)) == 1).all()
     bad_part = witness(
         same & (join != 0),
@@ -326,7 +369,8 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     parallels = m @ (meet == 0)
     slope = np.array([d if isinstance(line, VerticalLine) else line.r for line in lines])
     same_class = slope[:, None] == slope[None, :]
-    sizes = np.unique(slope, return_counts=True)[1]
+    sizes = np.bincount(slope)
+    sizes = sizes[sizes > 0]
 
     def point(a: int) -> str:
         return f"({points[a].xi},{points[a].eta})"
@@ -334,7 +378,7 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     ok_counts = (
         len(points) == d * d
         and len(lines) == d * (d + 1)
-        and len(np.unique(m.T, axis=0)) == d * (d + 1)
+        and _distinct_columns(meet) == d * (d + 1)
         and (m.sum(axis=0) == d).all()
     )
     if len(sizes) != d + 1 or (sizes != d).any():
@@ -390,17 +434,22 @@ def verify_duality(mod: Modulus) -> AxiomReport:
 
     mapped: list[Point] = []
     bad_pencil = ""
-    for k, apg_line in enumerate(lines):
+    for apg_line in lines:
         try:
-            common = duality_common_point(mod, apg_line)
+            mapped.append(duality_common_point(mod, apg_line))
         except NoCommonPointError as exc:
             bad_pencil = str(exc)
             break
+    at = _point_indices(mod, mapped)
+    pi = np.zeros((len(points), len(lines)))
+    pi[at, np.arange(len(mapped))] = 1.0
+    # column k of N M must mark the k-th common point alone
+    wrong = np.flatnonzero((full[:, : len(mapped)] != (pi[:, : len(mapped)] > 0)).any(axis=0))
+    if len(wrong):
+        k = int(wrong[0])
         shared = [points[i] for i in np.flatnonzero(full[:, k])]
-        if shared != [common]:
-            bad_pencil = f"pencil of {apg_line!r} shares {sorted(shared)}"
-            break
-        mapped.append(common)
+        bad_pencil = f"pencil of {lines[k]!r} shares {sorted(shared)}"
+        mapped, pi[:, k:] = mapped[:k], 0.0
 
     if not mapped:
         bad_bijection = "no pencils mapped"
@@ -415,8 +464,6 @@ def verify_duality(mod: Modulus) -> AxiomReport:
             + f" to columns {sorted(set(columns[r].tolist()))}",
         )
 
-    pi = np.zeros((len(points), len(lines)))
-    pi[[point_index(mod, p) for p in mapped], np.arange(len(mapped))] = 1.0
     image = pi @ m.T > 0  # must have the support of N
     bad_roundtrip = witness(
         (image != (n > 0)).any(axis=0) | m[:, len(mapped) :].any(axis=1),

@@ -13,14 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_EPS, Modulus, omega_power
+from .core import DEFAULT_EPS, Modulus, roots_of_unity
 from .geometry import CB_COLUMN
 from .report import AxiomReport, Check
 
 
 def z_matrix(mod: Modulus) -> np.ndarray:
     """Clock matrix: diagonal of omega^n."""
-    return np.diag([omega_power(mod.d, n) for n in range(mod.d)])
+    return np.diag(roots_of_unity(mod.d))
 
 
 def x_matrix(mod: Modulus) -> np.ndarray:
@@ -35,8 +35,8 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
     """State m of basis b as a length-d amplitude vector, reference-basis order.
 
     The amplitude at position 0 is exactly 1/sqrt(d) for every b >= 0, which
-    pins the overall phase convention. Exponents are reduced mod d only after
-    the multiplication by half(b).
+    pins the overall phase convention. The exponent half(b) n(n-1) - n m is
+    taken mod d, with n(n-1) reduced first so that it stays below d^2.
     """
     d = mod.d
     if not (CB_COLUMN <= b < d and 0 <= m < d):
@@ -47,7 +47,8 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
         return v
     hb = mod.half(b)
     scale = 1.0 / math.sqrt(d)
-    return np.array([omega_power(d, hb * n * (n - 1) - n * m) * scale for n in range(d)])
+    n = np.arange(d)
+    return np.array([w * scale for w in roots_of_unity(d)])[(hb * (n * (n - 1) % d) - n * m) % d]
 
 
 def basis_matrix(mod: Modulus, b: int) -> np.ndarray:
@@ -91,7 +92,7 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     d = mod.d
     x = x_matrix(mod)
     z = z_matrix(mod)
-    phases = np.array([omega_power(d, m) for m in range(d)])
+    phases = np.array(roots_of_unity(d))
     family = mub_family(mod)
     bad = ""
     for b in range(CB_COLUMN, d):

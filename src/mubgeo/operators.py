@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_EPS, Modulus, omega_power
+from .core import DEFAULT_EPS, Modulus, roots_of_unity
 from .geometry import (
     CB_COLUMN,
     Line,
@@ -47,16 +47,14 @@ def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
     """
     check_point(mod, point)
     d = mod.d
-    out = np.zeros((d, d), dtype=complex)
     if point.b == CB_COLUMN:
+        out = np.zeros((d, d), dtype=complex)
         out[point.m, point.m] = 1.0
         return out
     hb = mod.half(point.b)
-    for n in range(d):
-        for n2 in range(d):
-            s = (n - n2) * (hb * (n + n2 - 1) - point.m)
-            out[n, n2] = omega_power(d, s) / d
-    return out
+    n, n2 = np.indices((d, d))
+    s = (n - n2) * (hb * (n + n2 - 1) - point.m) % d
+    return np.array([w / d for w in roots_of_unity(d)])[s]
 
 
 def line_operator_sum(mod: Modulus, line: Line) -> np.ndarray:
@@ -75,12 +73,10 @@ def line_operator_direct(mod: Modulus, line: Line) -> np.ndarray:
     """
     check_line(mod, line)
     d = mod.d
-    target = (2 * line.m_minus1) % d
+    n = np.arange(d)
+    n2 = (2 * line.m_minus1 - n) % d
     out = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        for n2 in range(d):
-            if (n + n2) % d == target:
-                out[n, n2] = omega_power(d, -(n - n2) * line.m0)
+    out[n, n2] = np.array(roots_of_unity(d))[(n2 - n) * line.m0 % d]
     return out
 
 

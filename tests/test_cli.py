@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,52 @@ def test_non_finite_eps_is_input_error(monkeypatch, value):
     assert cli.main(["verify", "--scope", "mub", "--d", "3", "--eps", value]) == 2
     monkeypatch.setenv("MUBGEO_EPS", value)
     assert cli.main(["verify", "--scope", "mub", "--d", "3"]) == 2
+
+
+def test_verify_refuses_eps_at_which_no_check_can_fail(monkeypatch, capsys):
+    # at d = 3 the ceiling is 1/(2 d^2) = 1/18
+    assert cli.main(["verify", "--scope", "all", "--d", "3", "--eps", "1e300"]) == 2
+    assert "1/(2 d^2)" in capsys.readouterr().err
+    monkeypatch.setenv("MUBGEO_EPS", "1e300")
+    assert cli.main(["verify", "--scope", "all", "--d", "3"]) == 2
+    assert "1/(2 d^2)" in capsys.readouterr().err
+    monkeypatch.delenv("MUBGEO_EPS")
+    assert cli.main(["verify", "--scope", "all", "--d", "3", "--eps", "1e-6"]) == 0
+
+
+def test_verify_refuses_a_scope_beyond_physical_memory():
+    start = time.monotonic()
+    result = run_cli("verify", "--scope", "all", "--d", "1009")
+    assert time.monotonic() - start < 1.0
+    assert result.returncode == 2
+    assert "physical memory" in result.stderr
+    assert result.stdout == ""
+
+
+def test_verify_peak_estimate_covers_the_measured_peak():
+    # a fresh parent with one child, so RUSAGE_CHILDREN is that child's own peak (KiB)
+    code = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'mubgeo', 'verify', '--scope', 'all', '--d', '19']\n"
+        "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(19, "all")
+
+
+def test_verify_does_not_import_numpy_ma():
+    code = (
+        "import contextlib, io, sys\n"
+        "from mubgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--scope', 'all', '--d', '3']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_show_line():

@@ -45,6 +45,18 @@ def test_state_frozen_example():
     assert np.abs(v - expected).max() <= DEFAULT_EPS
 
 
+@pytest.mark.parametrize("d", [3, 5, 13])
+def test_state_equals_the_scalar_rule_exactly(d):
+    # exact equality pins the digits that show state prints
+    mod = Modulus(d)
+    scale = 1.0 / math.sqrt(d)
+    for b in range(d):
+        hb = mod.half(b)
+        for m in range(d):
+            expected = [omega_power(d, hb * n * (n - 1) - n * m) * scale for n in range(d)]
+            assert np.array_equal(mub_state(mod, b, m), np.array(expected))
+
+
 def test_reference_basis_states():
     v = mub_state(Modulus(3), -1, 2)
     assert np.array_equal(v, np.array([0, 0, 1], dtype=complex))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mubgeo.core import Modulus
+from mubgeo import operators
+from mubgeo.core import Modulus, omega_power
 from mubgeo.geometry import (
     Line,
     Point,
@@ -95,6 +96,75 @@ def test_route_equality_exhaustive(d):
     for line in all_lines(mod):
         diff = np.abs(line_operator_sum(mod, line) - line_operator_direct(mod, line)).max()
         assert diff <= 1e-10
+
+
+def _point_operator_by_entry(mod, point):
+    """The entrywise phase rule of a point projector, one scalar at a time."""
+    d = mod.d
+    out = np.zeros((d, d), dtype=complex)
+    if point.b == -1:
+        out[point.m, point.m] = 1.0
+        return out
+    hb = mod.half(point.b)
+    for n in range(d):
+        for n2 in range(d):
+            out[n, n2] = omega_power(d, (n - n2) * (hb * (n + n2 - 1) - point.m)) / d
+    return out
+
+
+def _line_operator_by_entry(mod, line):
+    """The anti-diagonal closed form of a line operator, one scalar at a time."""
+    d = mod.d
+    out = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        for n2 in range(d):
+            if (n + n2) % d == (2 * line.m_minus1) % d:
+                out[n, n2] = omega_power(d, -(n - n2) * line.m0)
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 5, 13])
+def test_direct_routes_equal_the_scalar_rule_exactly(d):
+    # exact equality pins the digits that show operator prints
+    mod = Modulus(d)
+    for p in all_points(mod):
+        assert np.array_equal(point_operator_direct(mod, p), _point_operator_by_entry(mod, p))
+    for line in all_lines(mod):
+        assert np.array_equal(line_operator_direct(mod, line), _line_operator_by_entry(mod, line))
+
+
+def _perturb(monkeypatch, rule, target):
+    """Make operators.<rule>(mod, target) answer with entry (0, 0) moved by 1e-6."""
+    original = getattr(operators, rule)
+
+    def faulty(mod, label):
+        out = original(mod, label)
+        if label == target:
+            out[0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(operators, rule, faulty)
+
+
+@pytest.mark.parametrize(
+    "rule, target, failure",
+    [
+        (
+            "point_operator_direct",
+            Point(2, 1),
+            ("op.point_route_equality", "point routes at (2,1) deviates by 1.000e-06"),
+        ),
+        (
+            "line_operator_direct",
+            Line(3, 1),
+            ("op.line_route_equality", "line routes at (3,1) deviates by 1.000e-06"),
+        ),
+    ],
+)
+def test_route_check_locates_a_corrupted_direct_route(monkeypatch, rule, target, failure):
+    _perturb(monkeypatch, rule, target)
+    report = verify_operator_identities(Modulus(5))
+    assert [(c.axiom, c.counterexample) for c in report.checks if not c.ok] == [failure]
 
 
 @pytest.mark.parametrize("d", [3, 5])
