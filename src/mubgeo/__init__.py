@@ -1,19 +1,15 @@
 """Mutually unbiased bases for odd prime dimensions, the dual affine plane
 incidence geometry underneath them, and exact discrete phase-space mappings."""
 
-from .core import (
-    DEFAULT_EPS,
-    Modulus,
-    is_prime,
-    omega_power,
-)
+from inspect import ismodule as _ismodule
+
+from .core import DEFAULT_EPS, Modulus, is_prime, omega_power
 from .errors import (
     ColumnNotNormalizedError,
     DimensionMismatchError,
     IncompleteProbabilitiesError,
     MissingLineError,
     NoCommonPointError,
-    NoInverseError,
     NonHermitianInputError,
     NotPrimeError,
     UnsupportedDimensionError,
@@ -30,14 +26,11 @@ from .geometry import (
     apg_incidence_matrix,
     apg_line_points,
     apg_lines,
-    apg_point_to_line,
     apg_points,
     duality_common_point,
     incidence_matrix,
-    incident,
     line_index,
     line_points,
-    line_to_apg_point,
     lines_through_point,
     parallel_class,
     point_index,
@@ -57,18 +50,14 @@ from .mub import (
 )
 from .operators import (
     line_operator_direct,
-    line_operator_stack,
-    line_operator_sum,
     point_operator,
     point_operator_direct,
-    point_operator_stack,
     verify_operator_identities,
 )
 from .phasespace import (
     MubProbabilities,
     QuasiDistribution,
     map_operator,
-    marginalize,
     pair_expectation,
     probabilities_from_state,
     quasi_from_probabilities,
@@ -79,69 +68,6 @@ from .report import AxiomReport, Check
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_EPS",
-    "CB_COLUMN",
-    "Modulus",
-    "Point",
-    "Line",
-    "ApgPoint",
-    "SlopedLine",
-    "VerticalLine",
-    "AxiomReport",
-    "Check",
-    "MubFamily",
-    "QuasiDistribution",
-    "MubProbabilities",
-    "ColumnNotNormalizedError",
-    "DimensionMismatchError",
-    "IncompleteProbabilitiesError",
-    "MissingLineError",
-    "NoCommonPointError",
-    "NoInverseError",
-    "NonHermitianInputError",
-    "NotPrimeError",
-    "UnsupportedDimensionError",
-    "all_lines",
-    "all_points",
-    "apg_incidence_matrix",
-    "apg_line_points",
-    "apg_lines",
-    "apg_point_to_line",
-    "apg_points",
-    "basis_matrix",
-    "duality_common_point",
-    "incidence_matrix",
-    "incident",
-    "is_prime",
-    "line_index",
-    "line_operator_direct",
-    "line_operator_stack",
-    "line_operator_sum",
-    "line_points",
-    "line_to_apg_point",
-    "lines_through_point",
-    "map_operator",
-    "marginalize",
-    "mub_family",
-    "mub_state",
-    "omega_power",
-    "pair_expectation",
-    "parallel_class",
-    "point_index",
-    "point_operator",
-    "point_operator_direct",
-    "point_operator_stack",
-    "probabilities_from_state",
-    "quasi_from_probabilities",
-    "reconstruct",
-    "validate_density_matrix",
-    "verify_apg_axioms",
-    "verify_dapg_axioms",
-    "verify_duality",
-    "verify_eigenrelation",
-    "verify_operator_identities",
-    "verify_unbiasedness",
-    "x_matrix",
-    "z_matrix",
-]
+# Every name imported above, and no submodule: `from mubgeo import *` must not
+# bind `io`, which would shadow the standard library's.
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not _ismodule(v)]

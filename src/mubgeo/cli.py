@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input
-(bad dimension, malformed file, non-Hermitian matrix, incomplete table).
+(bad dimension, malformed file, non-Hermitian matrix, incomplete table) or
+a request that ran out of memory.
 """
 
 from __future__ import annotations
@@ -261,4 +262,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        reason = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory at d={args.d}{reason}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -11,12 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NoInverseError,
-    NotPrimeError,
-    UnsupportedDimensionError,
-)
+from .errors import DimensionMismatchError, NotPrimeError, UnsupportedDimensionError
 
 DEFAULT_EPS = 1e-10
 
@@ -53,16 +48,6 @@ class Modulus:
         if not is_prime(d):
             raise NotPrimeError(f"d={d} is not prime")
         object.__setattr__(self, "_two_inverse", pow(2, -1, d))
-
-    def reduce(self, a: int) -> int:
-        return a % self.d
-
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse of a mod d; a must not reduce to 0."""
-        r = a % self.d
-        if r == 0:
-            raise NoInverseError(f"0 has no multiplicative inverse mod {self.d}")
-        return pow(r, -1, self.d)
 
     def half(self, a: int) -> int:
         """a times the inverse of 2, mod d. Well defined because d is odd."""

@@ -9,10 +9,6 @@ class NotPrimeError(ValueError):
     """Dimension is composite."""
 
 
-class NoInverseError(ValueError):
-    """Asked for the multiplicative inverse of 0."""
-
-
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes or belong to different dimensions."""
 

@@ -75,11 +75,6 @@ def check_line(mod: Modulus, line: Line) -> None:
         raise ValueError(f"invalid line label {format_line(line)} for d={mod.d}")
 
 
-def check_apg_point(mod: Modulus, point: ApgPoint) -> None:
-    if not (0 <= point.xi < mod.d and 0 <= point.eta < mod.d):
-        raise ValueError(f"invalid affine point ({point.xi},{point.eta}) for d={mod.d}")
-
-
 def check_apg_line(mod: Modulus, apg_line: ApgLine) -> None:
     if isinstance(apg_line, VerticalLine):
         if not 0 <= apg_line.xi < mod.d:
@@ -126,15 +121,6 @@ def line_row(mod: Modulus, line: Line, b: int):
     return (mod.half(b) * (2 * line.m_minus1 - 1) + line.m0) % mod.d
 
 
-def incident(mod: Modulus, point: Point, line: Line) -> bool:
-    """Whether the point lies on the line."""
-    check_point(mod, point)
-    check_line(mod, line)
-    if point.b == CB_COLUMN:
-        return point.m == line.m_minus1
-    return point.m == line_row(mod, line, point.b)
-
-
 def lines_through_point(mod: Modulus, point: Point) -> tuple[Line, ...]:
     """The d lines through a point, in ascending m_minus1 (m0 for the reference column)."""
     check_point(mod, point)
@@ -169,15 +155,6 @@ def apg_line_points(mod: Modulus, apg_line: ApgLine) -> tuple[ApgPoint, ...]:
         return tuple(ApgPoint(apg_line.xi, eta) for eta in range(mod.d))
     eta = (apg_line.r * np.arange(mod.d) + apg_line.s) % mod.d
     return tuple(map(ApgPoint, range(mod.d), eta.tolist()))
-
-
-def line_to_apg_point(line: Line) -> ApgPoint:
-    """Read a dual-plane line label as an affine point."""
-    return ApgPoint(line.m_minus1, line.m0)
-
-
-def apg_point_to_line(point: ApgPoint) -> Line:
-    return Line(point.xi, point.eta)
 
 
 def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:

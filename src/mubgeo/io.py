@@ -121,18 +121,18 @@ def parse_quasi_csv(text: str, mod: Modulus) -> QuasiDistribution:
     """Read a quasi-distribution, requiring each line label exactly once."""
     d = mod.d
     values = np.zeros((d, d))
-    seen: set[tuple[int, int]] = set()
+    seen = np.zeros((d, d), dtype=bool)
     for fields in _split_csv(text, QUASI_HEADER, "quasi-distribution CSV"):
         a, b, v = _parse_value(fields, "quasi-distribution CSV")
         if not (0 <= a < d and 0 <= b < d):
             raise MissingLineError(f"line label ({a},{b}) is out of range for d={d}")
-        if (a, b) in seen:
+        if seen[a, b]:
             raise MissingLineError(f"duplicate row for line ({a},{b})")
-        seen.add((a, b))
+        seen[a, b] = True
         values[a, b] = v
-    if len(seen) != d * d:
-        missing = [(a, b) for a in range(d) for b in range(d) if (a, b) not in seen]
-        shown = ", ".join(f"({a},{b})" for a, b in missing[:4])
+    missing = np.flatnonzero(~seen)  # row-major: lexicographic in (m_minus1, m0)
+    if len(missing):
+        shown = ", ".join(f"({k // d},{k % d})" for k in missing[:4].tolist())
         raise MissingLineError(f"{len(missing)} line labels missing (first: {shown})")
     return QuasiDistribution(mod, values)
 
@@ -151,19 +151,17 @@ def parse_probabilities_csv(text: str, mod: Modulus) -> MubProbabilities:
     """Read a probability table, requiring each point label exactly once."""
     d = mod.d
     values = np.zeros((d + 1, d))
-    seen: set[tuple[int, int]] = set()
+    seen = np.zeros((d + 1, d), dtype=bool)
     for fields in _split_csv(text, PROBABILITY_HEADER, "probability CSV"):
         m, b, v = _parse_value(fields, "probability CSV")
         if not (0 <= m < d and -1 <= b < d):
             raise IncompleteProbabilitiesError(f"point label ({m},{b}) is out of range for d={d}")
-        if (m, b) in seen:
+        if seen[b + 1, m]:
             raise IncompleteProbabilitiesError(f"duplicate row for point ({m},{b})")
-        seen.add((m, b))
+        seen[b + 1, m] = True
         values[b + 1, m] = v
-    if len(seen) != d * (d + 1):
-        missing = [
-            (m, b) for b in range(-1, d) for m in range(d) if (m, b) not in seen
-        ]
-        shown = ", ".join(f"({m},{b})" for m, b in missing[:4])
+    missing = np.flatnonzero(~seen)  # row-major: column b = -1 first, then m
+    if len(missing):
+        shown = ", ".join(f"({k % d},{k // d - 1})" for k in missing[:4].tolist())
         raise IncompleteProbabilitiesError(f"{len(missing)} point labels missing (first: {shown})")
     return MubProbabilities(mod, values)

@@ -25,10 +25,7 @@ def z_matrix(mod: Modulus) -> np.ndarray:
 
 def x_matrix(mod: Modulus) -> np.ndarray:
     """Cyclic shift sending position n to n+1 mod d."""
-    x = np.zeros((mod.d, mod.d), dtype=complex)
-    for n in range(mod.d):
-        x[(n + 1) % mod.d, n] = 1.0
-    return x
+    return np.roll(np.eye(mod.d, dtype=complex), 1, axis=0)
 
 
 def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
@@ -67,11 +64,6 @@ class MubFamily:
         if not CB_COLUMN <= b < self.mod.d:
             raise ValueError(f"invalid basis label b={b} for d={self.mod.d}")
         return self.bases[b + 1]
-
-    def state(self, m: int, b: int) -> np.ndarray:
-        if not 0 <= m < self.mod.d:
-            raise ValueError(f"invalid state index m={m} for d={self.mod.d}")
-        return self.basis(b)[:, m]
 
 
 @lru_cache(maxsize=None)

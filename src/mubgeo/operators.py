@@ -10,8 +10,6 @@ omega^(-(n - n') m0). Traces of products reproduce the incidence structure.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .core import DEFAULT_EPS, Modulus, roots_of_unity
@@ -26,7 +24,6 @@ from .geometry import (
     format_line,
     format_point,
     incidence_matrix,
-    line_points,
 )
 from .mub import mub_state
 from .report import AxiomReport, witness
@@ -57,15 +54,6 @@ def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
     return np.array([w / d for w in roots_of_unity(d)])[s]
 
 
-def line_operator_sum(mod: Modulus, line: Line) -> np.ndarray:
-    """Line operator as the sum of its incident projectors minus the identity."""
-    check_line(mod, line)
-    acc = -np.eye(mod.d, dtype=complex)
-    for p in line_points(mod, line):
-        acc = acc + point_operator(mod, p)
-    return acc
-
-
 def line_operator_direct(mod: Modulus, line: Line) -> np.ndarray:
     """Line operator from its anti-diagonal closed form, no projectors involved.
 
@@ -80,26 +68,13 @@ def line_operator_direct(mod: Modulus, line: Line) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def point_operator_stack(mod: Modulus) -> np.ndarray:
-    """All d(d+1) point projectors, stacked in point_index order. Read-only."""
-    stack = np.stack([point_operator(mod, p) for p in all_points(mod)])
-    stack.setflags(write=False)
-    return stack
-
-
 def _over_lines(n: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """For each line, the sum of a point-indexed stack over the line's points: N^T stack."""
+    """For each line, the sum of a point-indexed complex stack over its points: N^T stack.
+
+    One real product on the float view of the stack, not a complex one on a promoted N.
+    """
     d = stack.shape[-1]
-    return (n.T @ stack.reshape(len(stack), -1)).reshape(-1, d, d)
-
-
-@lru_cache(maxsize=None)
-def line_operator_stack(mod: Modulus) -> np.ndarray:
-    """All d^2 line operators, stacked in line_index order, as N^T A - I. Read-only."""
-    stack = _over_lines(incidence_matrix(mod), point_operator_stack(mod)) - np.eye(mod.d)
-    stack.setflags(write=False)
-    return stack
+    return (n.T @ stack.reshape(len(stack), -1).view(float)).view(complex).reshape(-1, d, d)
 
 
 def _worst(devs: np.ndarray, tol: float, what: str, *labels) -> str:
@@ -121,17 +96,19 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
 
     Summed identities are held to d*eps; the agreement between the two
     independent construction routes is held to eps itself. The expected
-    incidence traces are the incidence matrix N.
+    incidence traces are the incidence matrix N. The point projectors A come
+    from the outer-product route and the line operators as N^T A - I; both
+    are held to the direct routes entry by entry.
     """
     d = mod.d
     points = all_points(mod)
     lines = all_lines(mod)
     pt_labels = [format_point(p) for p in points]
     ln_labels = [format_line(ln) for ln in lines]
-    a_stack = point_operator_stack(mod)
-    p_stack = line_operator_stack(mod)
     n = incidence_matrix(mod)
     eye = np.eye(d)
+    a_stack = np.stack([point_operator(mod, p) for p in points])
+    p_stack = _over_lines(n, a_stack) - eye
     tol = d * eps
     findings: dict[str, str] = {}
 

@@ -26,7 +26,7 @@ from .errors import (
     MissingLineError,
     NonHermitianInputError,
 )
-from .geometry import Line, Point, check_line, check_point, lines_through_point
+from .geometry import Line, Point, check_line, check_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +89,6 @@ class MubProbabilities:
     def column_sums(self) -> np.ndarray:
         """Sum over m for each column b = -1..d-1; each must be 1 for a true state."""
         return self.values.sum(axis=1)
-
-    def check_range(self, eps: float = DEFAULT_EPS) -> None:
-        """Require every value inside [-eps, 1 + eps]."""
-        lo = float(self.values.min())
-        hi = float(self.values.max())
-        if lo < -eps or hi > 1.0 + eps:
-            raise ValueError(f"probabilities outside [0, 1]: min {lo:.6g}, max {hi:.6g}")
 
 
 def _line_coefficients(b: np.ndarray) -> np.ndarray:
@@ -220,11 +213,3 @@ def quasi_from_probabilities(
     w[0, 0] = sums.sum() - mod.d  # on every slice: sum(V) / d
     return QuasiDistribution(mod, np.fft.ifft2(w).real * mod.d)
 
-
-def marginalize(quasi: QuasiDistribution, point: Point) -> float:
-    """(1/d) times the sum of coefficients over the lines through the point.
-
-    Recovers the outcome probability of that point for a state's distribution.
-    """
-    lines = lines_through_point(quasi.mod, point)
-    return float(sum(quasi.values[line] for line in lines) / quasi.mod.d)

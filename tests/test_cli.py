@@ -9,8 +9,14 @@ from conftest import random_density
 
 from mubgeo import cli
 from mubgeo.core import Modulus
-from mubgeo.io import matrix_to_json, parse_matrix_json, parse_quasi_csv, probabilities_to_csv
-from mubgeo.phasespace import probabilities_from_state
+from mubgeo.io import (
+    matrix_to_json,
+    parse_matrix_json,
+    parse_quasi_csv,
+    probabilities_to_csv,
+    quasi_to_csv,
+)
+from mubgeo.phasespace import map_operator, probabilities_from_state
 from mubgeo.report import AxiomReport, Check
 
 MOD3 = Modulus(3)
@@ -309,3 +315,28 @@ def test_tomography_rejects_unnormalized(tmp_path):
     result = run_cli("tomography", "--d", "3", "--input", str(source))
     assert result.returncode == 2
     assert "b=-1" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: out of memory at d=3\n"),
+        (
+            MemoryError("Unable to allocate 8.00 GiB"),
+            "error: out of memory at d=3: Unable to allocate 8.00 GiB\n",
+        ),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_memory_error_is_refused_with_exit_two(monkeypatch, capsys, tmp_path, exc, line):
+    source = tmp_path / "mixed.csv"
+    source.write_text(quasi_to_csv(map_operator(MOD3, np.eye(3) / 3)))
+
+    def exhausted(quasi):
+        raise exc
+
+    monkeypatch.setattr(cli, "reconstruct", exhausted)
+    assert cli.main(["reconstruct", "--d", "3", "--input", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line

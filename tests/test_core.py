@@ -11,7 +11,6 @@ from mubgeo.core import (
 )
 from mubgeo.errors import (
     DimensionMismatchError,
-    NoInverseError,
     NotPrimeError,
     UnsupportedDimensionError,
 )
@@ -42,32 +41,6 @@ def test_modulus_rejects_composites(d):
 def test_modulus_rejects_non_integer():
     with pytest.raises(UnsupportedDimensionError):
         Modulus(3.0)
-
-
-def test_reduce():
-    mod = Modulus(5)
-    assert mod.reduce(7) == 2
-    assert mod.reduce(-1) == 4
-    assert mod.reduce(0) == 0
-
-
-def test_inverse_examples():
-    assert Modulus(3).inverse(2) == 2
-    assert Modulus(5).inverse(2) == 3
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(NoInverseError):
-        Modulus(5).inverse(0)
-    with pytest.raises(NoInverseError):
-        Modulus(5).inverse(10)
-
-
-@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
-def test_inverse_exhaustive(d):
-    mod = Modulus(d)
-    for a in range(1, d):
-        assert (a * mod.inverse(a)) % d == 1
 
 
 def test_half_examples():

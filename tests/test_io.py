@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_density
@@ -138,3 +140,48 @@ def test_probabilities_csv_duplicate():
     text = probabilities_to_csv(probs) + "0,0,0.1\n"
     with pytest.raises(IncompleteProbabilitiesError, match="duplicate"):
         parse_probabilities_csv(text, MOD3)
+
+
+def test_missing_labels_are_named_in_label_order():
+    skipped = {(0, 2), (1, 0), (2, 1)}
+    rows = [f"{a},{b},0.5" for a in range(3) for b in range(3) if (a, b) not in skipped]
+    with pytest.raises(MissingLineError) as exc:
+        parse_quasi_csv("\n".join(["m_minus1,m0,value", *rows]) + "\n", MOD3)
+    assert str(exc.value) == "3 line labels missing (first: (0,2), (1,0), (2,1))"
+    skipped = {(2, -1), (1, 0), (0, 2), (2, 2), (1, 2)}
+    rows = [f"{m},{b},0.5" for b in range(-1, 3) for m in range(3) if (m, b) not in skipped]
+    with pytest.raises(IncompleteProbabilitiesError) as exc:
+        parse_probabilities_csv("\n".join(["m,b,value", *rows]) + "\n", MOD3)
+    assert str(exc.value) == "5 point labels missing (first: (2,-1), (1,0), (0,2), (1,2))"
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (
+            parse_quasi_csv,
+            "m_minus1,m0,value\n0,0,1.0\n",
+            MissingLineError,
+            "1018080 line labels missing (first: (0,1), (0,2), (0,3), (0,4))",
+        ),
+        (
+            parse_probabilities_csv,
+            "m,b,value\n0,-1,1.0\n",
+            IncompleteProbabilitiesError,
+            "1019089 point labels missing (first: (1,-1), (2,-1), (3,-1), (4,-1))",
+        ),
+    ],
+    ids=["quasi", "probabilities"],
+)
+def test_missing_labels_cost_a_few_tables_not_a_list(parse, text, error, message):
+    # one row at d = 1009: the message names a million missing labels without listing them
+    d = 1009
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as exc:
+            parse(text, Modulus(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 4 * 8 * d * (d + 1)

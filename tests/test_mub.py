@@ -94,11 +94,9 @@ def test_family_layout():
     fam = mub_family(Modulus(3))
     assert len(fam.bases) == 4
     assert np.array_equal(fam.basis(-1), np.eye(3, dtype=complex))
-    assert np.abs(fam.state(1, 0) - mub_state(Modulus(3), 0, 1)).max() == 0
+    assert np.abs(fam.basis(0)[:, 1] - mub_state(Modulus(3), 0, 1)).max() == 0
     with pytest.raises(ValueError):
         fam.basis(3)
-    with pytest.raises(ValueError):
-        fam.state(3, 0)
 
 
 def test_family_arrays_are_frozen():

@@ -1,0 +1,34 @@
+import inspect
+
+import mubgeo
+from mubgeo import core, errors, geometry, mub, operators, phasespace
+
+# public names that no command, check or other function of the package used
+DELETED = {
+    core.Modulus: ["reduce", "inverse"],
+    errors: ["NoInverseError"],
+    geometry: ["check_apg_point", "incident", "line_to_apg_point", "apg_point_to_line"],
+    mub.MubFamily: ["state"],
+    operators: ["point_operator_stack", "line_operator_stack", "line_operator_sum"],
+    phasespace: ["marginalize"],
+    phasespace.MubProbabilities: ["check_range"],
+}
+
+
+def test_star_import_binds_the_exports_and_no_module():
+    namespace: dict = {}
+    exec("from mubgeo import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(mubgeo.__all__)
+    assert len(set(mubgeo.__all__)) == len(mubgeo.__all__)
+    assert [n for n, v in namespace.items() if inspect.ismodule(v)] == []
+    assert "io" not in namespace
+    for name, value in namespace.items():
+        assert getattr(mubgeo, name) is value
+
+
+def test_deleted_names_are_gone():
+    for owner, names in DELETED.items():
+        for name in names:
+            assert not hasattr(owner, name), name
+            assert name not in mubgeo.__all__

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import line_operator_stack, line_operator_sum, point_operator_stack
 
 from mubgeo import operators
 from mubgeo.core import Modulus, omega_power
@@ -8,7 +9,6 @@ from mubgeo.geometry import (
     Point,
     all_lines,
     all_points,
-    incident,
     line_index,
     line_points,
     point_index,
@@ -16,11 +16,8 @@ from mubgeo.geometry import (
 from mubgeo.mub import mub_state
 from mubgeo.operators import (
     line_operator_direct,
-    line_operator_stack,
-    line_operator_sum,
     point_operator,
     point_operator_direct,
-    point_operator_stack,
     verify_operator_identities,
 )
 
@@ -175,7 +172,7 @@ def test_operator_incidence_matches_geometry(d):
         a = point_operator_direct(mod, p)
         for line in all_lines(mod):
             lam = np.trace(a @ line_operator_direct(mod, line)).real
-            assert abs(lam - (1 if incident(mod, p, line) else 0)) <= d * 1e-10
+            assert abs(lam - (1 if p in line_points(mod, line) else 0)) <= d * 1e-10
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -188,13 +185,12 @@ def test_line_operator_trace_and_square(d):
         assert abs(np.trace(p @ p) - d) <= d * 1e-10
 
 
-def test_stacks_layout_and_freezing():
+def test_oracle_stacks_layout():
     mod = Modulus(3)
     a = point_operator_stack(mod)
     p = line_operator_stack(mod)
     assert a.shape == (12, 3, 3)
     assert p.shape == (9, 3, 3)
-    assert not a.flags.writeable and not p.flags.writeable
     idx = point_index(mod, Point(0, 2))
     assert np.abs(a[idx] - A_0_2).max() <= 1e-10
     assert np.abs(p[line_index(mod, Line(1, 2))] - P_1_2).max() <= 1e-10

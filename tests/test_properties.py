@@ -9,11 +9,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracle import line_operator_stack, point_operator_stack
 
 from mubgeo.core import Modulus
 from mubgeo.geometry import incidence_matrix
 from mubgeo.mub import mub_family, x_matrix, z_matrix
-from mubgeo.operators import line_operator_stack, point_operator_stack
 from mubgeo.phasespace import (
     MubProbabilities,
     map_operator,
