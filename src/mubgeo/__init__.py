@@ -9,7 +9,6 @@ from .errors import (
     DimensionMismatchError,
     IncompleteProbabilitiesError,
     MissingLineError,
-    NoCommonPointError,
     NonHermitianInputError,
     NotPrimeError,
     UnsupportedDimensionError,
@@ -39,8 +38,6 @@ from .geometry import (
     verify_duality,
 )
 from .mub import (
-    MubFamily,
-    basis_matrix,
     mub_family,
     mub_state,
     verify_eigenrelation,

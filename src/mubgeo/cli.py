@@ -30,7 +30,6 @@ from .io import (
     parse_matrix_json,
     parse_probabilities_csv,
     parse_quasi_csv,
-    probabilities_to_csv,
     quasi_to_csv,
     quasi_to_json,
 )

@@ -28,10 +28,3 @@ class IncompleteProbabilitiesError(ValueError):
 class ColumnNotNormalizedError(ValueError):
     """A probability table has a basis column that does not sum to one."""
 
-
-class NoCommonPointError(RuntimeError):
-    """Internal inconsistency: a pencil of lines shares no point.
-
-    Unreachable for a prime dimension; raised so a broken invariant
-    surfaces as a loud failure instead of a wrong answer.
-    """

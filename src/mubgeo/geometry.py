@@ -22,7 +22,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import Modulus
-from .errors import NoCommonPointError
 from .report import AxiomReport, witness
 
 CB_COLUMN = -1
@@ -160,22 +159,15 @@ def apg_line_points(mod: Modulus, apg_line: ApgLine) -> tuple[ApgPoint, ...]:
 def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:
     """The single dual-plane point shared by all lines indexed along an affine line.
 
+    This is the closed form; verify_duality checks it against the pencils read off N M.
     A vertical line xi = s' collects the lines with m_minus1 = s', which meet in
     (s', -1). A sloped line eta = r*xi + s collects lines meeting in row
     s + half(r) of column -r mod d; slope 0 lands in column 0 at row s.
     """
     check_apg_line(mod, apg_line)
     if isinstance(apg_line, VerticalLine):
-        common = Point(apg_line.xi, CB_COLUMN)
-    else:
-        common = Point((apg_line.s + mod.half(apg_line.r)) % mod.d, (-apg_line.r) % mod.d)
-    pencil = Line(*_line_fields(mod, apg_line_points(mod, apg_line)))
-    rows = pencil.m_minus1 if common.b == CB_COLUMN else line_row(mod, pencil, common.b)
-    if (rows != common.m).any():
-        raise NoCommonPointError(
-            f"pencil of affine line {apg_line!r} misses {format_point(common)}"
-        )
-    return common
+        return Point(apg_line.xi, CB_COLUMN)
+    return Point((apg_line.s + mod.half(apg_line.r)) % mod.d, (-apg_line.r) % mod.d)
 
 
 def point_index(mod: Modulus, point: Point) -> int:
@@ -204,18 +196,12 @@ def _point_indices(mod: Modulus, points) -> np.ndarray:
     return (b + 1) * mod.d + m
 
 
-def _line_fields(mod: Modulus, lines) -> tuple[np.ndarray, np.ndarray]:
-    """The two labels of each line (or affine point read as one) in a sequence, as two arrays."""
+def _line_indices(mod: Modulus, lines) -> np.ndarray:
+    """line_index of each line (or affine point read as one) in a sequence, as one array."""
     a, m0 = _label_array(lines)
     bad = (a < 0) | (a >= mod.d) | (m0 < 0) | (m0 >= mod.d)
     if bad.any():
         check_line(mod, Line(*lines[int(np.argmax(bad))]))
-    return a, m0
-
-
-def _line_indices(mod: Modulus, lines) -> np.ndarray:
-    """line_index of each line (or affine point read as one) in a sequence, as one array."""
-    a, m0 = _line_fields(mod, lines)
     return a * mod.d + m0
 
 
@@ -398,39 +384,24 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     points sending parallel classes onto columns (slope r to column -r mod d,
     verticals to the reference column); and the pencil through a fixed affine
     point maps exactly onto the point set of its dual line.
-    Affine lines are mapped in order up to the first pencil that fails; a
-    pencil through an unmapped line fails the round trip.
     """
     d = mod.d
     lines = apg_lines(mod)
     points = all_points(mod)
     n = incidence_matrix(mod)
     m = apg_incidence_matrix(mod)
-    # row a of M is dual line a, so (N M)[p, k] counts the lines of pencil k through p
+    mapped = [duality_common_point(mod, apg_line) for apg_line in lines]
+    pi = _scatter(len(points), [(p,) for p in mapped], lambda p: _point_indices(mod, p))
+    # row a of M is dual line a, so (N M)[p, k] counts the lines of pencil k through p;
+    # column k must reach its full count at the k-th common point alone
     full = n @ m == m.sum(axis=0)
+    bad_pencil = witness(
+        (full != (pi > 0)).any(axis=0),
+        lambda k: f"pencil of {lines[k]!r} shares"
+        f" {sorted(points[i] for i in np.flatnonzero(full[:, k]))}",
+    )
 
-    mapped: list[Point] = []
-    bad_pencil = ""
-    for apg_line in lines:
-        try:
-            mapped.append(duality_common_point(mod, apg_line))
-        except NoCommonPointError as exc:
-            bad_pencil = str(exc)
-            break
-    at = _point_indices(mod, mapped)
-    pi = np.zeros((len(points), len(lines)))
-    pi[at, np.arange(len(mapped))] = 1.0
-    # column k of N M must mark the k-th common point alone
-    wrong = np.flatnonzero((full[:, : len(mapped)] != (pi[:, : len(mapped)] > 0)).any(axis=0))
-    if len(wrong):
-        k = int(wrong[0])
-        shared = [points[i] for i in np.flatnonzero(full[:, k])]
-        bad_pencil = f"pencil of {lines[k]!r} shares {sorted(shared)}"
-        mapped, pi[:, k:] = mapped[:k], 0.0
-
-    if not mapped:
-        bad_bijection = "no pencils mapped"
-    elif len(set(mapped)) != d * (d + 1):
+    if len(set(mapped)) != d * (d + 1):
         bad_bijection = f"{len(set(mapped))} distinct common points, expected {d * (d + 1)}"
     else:
         columns = np.array([p.b for p in mapped]).reshape(d + 1, d)
@@ -443,7 +414,7 @@ def verify_duality(mod: Modulus) -> AxiomReport:
 
     image = pi @ m.T > 0  # must have the support of N
     bad_roundtrip = witness(
-        (image != (n > 0)).any(axis=0) | m[:, len(mapped) :].any(axis=1),
+        (image != (n > 0)).any(axis=0),
         lambda a: f"pencil through ({a // d},{a % d}) maps onto"
         f" {sorted(points[i] for i in np.flatnonzero(image[:, a]))}",
     )

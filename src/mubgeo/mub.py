@@ -8,14 +8,13 @@ each basis the eigenbasis of X Z^b with state m carrying eigenvalue omega^m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import DEFAULT_EPS, Modulus, roots_of_unity
 from .geometry import CB_COLUMN
-from .report import AxiomReport, Check
+from .report import AxiomReport, witness
 
 
 def z_matrix(mod: Modulus) -> np.ndarray:
@@ -48,32 +47,13 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
     return np.array([w * scale for w in roots_of_unity(d)])[(hb * (n * (n - 1) % d) - n * m) % d]
 
 
-def basis_matrix(mod: Modulus, b: int) -> np.ndarray:
-    """Matrix whose columns are the states of basis b, in order m = 0..d-1."""
-    return np.column_stack([mub_state(mod, b, m) for m in range(mod.d)])
-
-
-@dataclass(frozen=True, eq=False)
-class MubFamily:
-    """All d+1 bases of one dimension; bases[b+1] holds basis b, states as columns."""
-
-    mod: Modulus
-    bases: tuple[np.ndarray, ...]
-
-    def basis(self, b: int) -> np.ndarray:
-        if not CB_COLUMN <= b < self.mod.d:
-            raise ValueError(f"invalid basis label b={b} for d={self.mod.d}")
-        return self.bases[b + 1]
-
-
 @lru_cache(maxsize=None)
-def mub_family(mod: Modulus) -> MubFamily:
-    mats = []
-    for b in range(CB_COLUMN, mod.d):
-        mat = basis_matrix(mod, b)
-        mat.setflags(write=False)
-        mats.append(mat)
-    return MubFamily(mod, tuple(mats))
+def mub_family(mod: Modulus) -> np.ndarray:
+    """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m]."""
+    states = [[mub_state(mod, b, m) for m in range(mod.d)] for b in range(CB_COLUMN, mod.d)]
+    family = np.ascontiguousarray(np.swapaxes(states, 1, 2))
+    family.setflags(write=False)
+    return family
 
 
 def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
@@ -84,19 +64,20 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     d = mod.d
     x = x_matrix(mod)
     z = z_matrix(mod)
-    phases = np.array(roots_of_unity(d))
+    ops = np.stack([z] + [x @ np.linalg.matrix_power(z, b) for b in range(d)])
     family = mub_family(mod)
-    bad = ""
-    for b in range(CB_COLUMN, d):
-        basis = family.basis(b)
-        op = z if b == CB_COLUMN else x @ np.linalg.matrix_power(z, b)
-        residual = op @ basis - basis * phases[np.newaxis, :]
-        norms = np.linalg.norm(residual, axis=0)
-        worst = int(np.argmax(norms))
-        if norms[worst] > eps:
-            bad = f"state (m={worst}, b={b}) has residual {norms[worst]:.3e}"
-            break
-    return AxiomReport(d, (Check("mub.eigenrelation", not bad, bad),))
+    norms = np.linalg.norm(ops @ family - family * np.array(roots_of_unity(d)), axis=1)
+    worst = norms.max(axis=1)
+    return AxiomReport.from_findings(
+        d,
+        {
+            "mub.eigenrelation": witness(
+                worst > eps,
+                lambda i: f"state (m={int(np.argmax(norms[i]))}, b={i - 1})"
+                f" has residual {worst[i]:.3e}",
+            )
+        },
+    )
 
 
 def verify_unbiasedness(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
@@ -105,22 +86,22 @@ def verify_unbiasedness(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     family = mub_family(mod)
     target = 1.0 / math.sqrt(d)
     eye = np.eye(d)
-    bad_on = ""
-    bad_cross = ""
-    for b1 in range(CB_COLUMN, d):
-        gram = family.basis(b1).conj().T @ family.basis(b1)
-        dev = float(np.abs(gram - eye).max())
-        if dev > eps and not bad_on:
-            bad_on = f"basis b={b1} deviates from orthonormality by {dev:.3e}"
-        for b2 in range(b1 + 1, d):
-            overlap = np.abs(family.basis(b1).conj().T @ family.basis(b2))
-            dev = float(np.abs(overlap - target).max())
-            if dev > eps and not bad_cross:
-                bad_cross = f"bases b={b1}, b={b2} overlap off 1/sqrt(d) by {dev:.3e}"
-    return AxiomReport(
+    on = np.empty(d + 1)
+    cross = np.zeros((d + 1, d + 1))
+    for i, basis in enumerate(family):
+        gram = basis.conj().T @ family[i:]
+        on[i] = np.abs(gram[0] - eye).max()
+        cross[i, i + 1 :] = np.abs(np.abs(gram[1:]) - target).max(axis=(1, 2))
+    return AxiomReport.from_findings(
         d,
-        (
-            Check("mub.orthonormal", not bad_on, bad_on),
-            Check("mub.unbiased", not bad_cross, bad_cross),
-        ),
+        {
+            "mub.orthonormal": witness(
+                on > eps, lambda i: f"basis b={i - 1} deviates from orthonormality by {on[i]:.3e}"
+            ),
+            "mub.unbiased": witness(
+                cross > eps,
+                lambda i, j: f"bases b={i - 1}, b={j - 1} overlap off 1/sqrt(d)"
+                f" by {cross[i, j]:.3e}",
+            ),
+        },
     )

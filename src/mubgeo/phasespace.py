@@ -29,6 +29,22 @@ from .errors import (
 from .geometry import Line, Point, check_line, check_point
 
 
+def _frozen_table(values, what: str, error: type, label: str, *shape: int) -> np.ndarray:
+    """values as a read-only float table of the given shape, one per label; real and finite."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} must be real")
+    arr = arr.astype(float)
+    if arr.shape != shape:
+        raise error(
+            f"need one value per {label}, a {shape[0]}x{shape[1]} table; got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """Real coefficients indexed by line labels: values[m_minus1, m0]."""
@@ -37,19 +53,9 @@ class QuasiDistribution:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values)
-        if np.iscomplexobj(arr):
-            raise ValueError("quasi-distribution values must be real")
-        arr = arr.astype(float)
         d = self.mod.d
-        if arr.shape != (d, d):
-            raise MissingLineError(
-                f"need one value per line, a {d}x{d} table; got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("quasi-distribution values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        table = _frozen_table(self.values, "quasi-distribution values", MissingLineError, "line", d, d)
+        object.__setattr__(self, "values", table)
 
     def value(self, line: Line) -> float:
         check_line(self.mod, line)
@@ -68,19 +74,11 @@ class MubProbabilities:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values)
-        if np.iscomplexobj(arr):
-            raise ValueError("probabilities must be real")
-        arr = arr.astype(float)
         d = self.mod.d
-        if arr.shape != (d + 1, d):
-            raise IncompleteProbabilitiesError(
-                f"need one value per point, a {d + 1}x{d} table; got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probabilities must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        table = _frozen_table(
+            self.values, "probabilities", IncompleteProbabilitiesError, "point", d + 1, d
+        )
+        object.__setattr__(self, "values", table)
 
     def value(self, point: Point) -> float:
         check_point(self.mod, point)

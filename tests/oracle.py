@@ -4,11 +4,13 @@ The package builds line operators from their anti-diagonal closed form and
 computes the phase-space functions without building any operator. The tests
 hold both against these slow references: a line operator as the sum of its
 d+1 incident projectors minus the identity, and every point and line operator
-stacked in point_index and line_index order.
+stacked in point_index and line_index order. It also builds the two Clifford
+gates that permute the line operators.
 """
 
 import numpy as np
 
+from mubgeo.core import roots_of_unity
 from mubgeo.geometry import all_lines, all_points, check_line, line_points
 from mubgeo.operators import point_operator
 
@@ -30,3 +32,13 @@ def point_operator_stack(mod):
 def line_operator_stack(mod):
     """All d^2 line operators by the sum route, in line_index order."""
     return np.stack([line_operator_sum(mod, line) for line in all_lines(mod)])
+
+
+def clifford_gates(mod):
+    """The phase gate S = diag(omega^half(n(n-1))) and the Fourier gate F = omega^(n n') / sqrt(d).
+
+    S P_(a, m0) S^dagger = P_(a, m0 - a + half(1)) and F P_(a, m0) F^dagger = P_(m0, -a).
+    """
+    n = np.arange(mod.d)
+    roots = np.array(roots_of_unity(mod.d))
+    return np.diag(roots[mod.half(n * (n - 1))]), roots[np.outer(n, n) % mod.d] / np.sqrt(mod.d)

@@ -4,7 +4,6 @@ import pytest
 
 from mubgeo import geometry
 from mubgeo.core import Modulus
-from mubgeo.errors import NoCommonPointError
 from mubgeo.geometry import (
     CB_COLUMN,
     ApgPoint,
@@ -215,12 +214,6 @@ def test_report_json_schema():
         assert isinstance(check["ok"], bool)
 
 
-def test_no_common_point_is_internal_error():
-    # a synthetic mismatch: wrong candidate cannot happen through the public
-    # surface, so the guard is exercised via the exception type directly
-    assert issubclass(NoCommonPointError, RuntimeError)
-
-
 # Fault injection at d = 5: one geometry rule returns a corrupted answer for one
 # label. Only the geometry verifiers run here.
 MOD5 = Modulus(5)
@@ -314,3 +307,28 @@ def test_duality_reports_a_broken_pencil(monkeypatch, rule, target, index, fix):
     for axiom in ("duality.pencil_common_point", "duality.point_pencil_roundtrip"):
         assert not checks[axiom].ok
         assert checks[axiom].counterexample
+
+
+@pytest.mark.parametrize(
+    "target, fix, shares",
+    [
+        (SlopedLine(1, 1), _next_row, "pencil of SlopedLine(r=1, s=1) shares [Point(m=4, b=4)]"),
+        (
+            VerticalLine(0),
+            lambda p: Point(p.m, p.b + 1),
+            "pencil of VerticalLine(xi=0) shares [Point(m=0, b=-1)]",
+        ),
+    ],
+    ids=["sloped", "vertical"],
+)
+def test_duality_common_point_fault_is_located(monkeypatch, target, fix, shares):
+    original = geometry.duality_common_point
+
+    def faulty(mod, apg_line):
+        common = original(mod, apg_line)
+        return fix(common) if apg_line == target else common
+
+    monkeypatch.setattr(geometry, "duality_common_point", faulty)
+    checks = {c.axiom: c for c in verify_duality(MOD5).checks}
+    assert checks["duality.pencil_common_point"].counterexample == shares
+    assert not any(c.ok for c in checks.values())

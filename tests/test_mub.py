@@ -5,7 +5,6 @@ import pytest
 
 from mubgeo.core import DEFAULT_EPS, Modulus, omega_power
 from mubgeo.mub import (
-    basis_matrix,
     mub_family,
     mub_state,
     verify_eigenrelation,
@@ -84,25 +83,25 @@ def test_leading_amplitude_fixes_phase(d):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_each_basis_resolves_identity(d):
-    mod = Modulus(d)
-    for b in range(-1, d):
-        mat = basis_matrix(mod, b)
+    for mat in mub_family(Modulus(d)):
         assert np.abs(mat @ mat.conj().T - np.eye(d)).max() <= d * DEFAULT_EPS
 
 
 def test_family_layout():
-    fam = mub_family(Modulus(3))
-    assert len(fam.bases) == 4
-    assert np.array_equal(fam.basis(-1), np.eye(3, dtype=complex))
-    assert np.abs(fam.basis(0)[:, 1] - mub_state(Modulus(3), 0, 1)).max() == 0
-    with pytest.raises(ValueError):
-        fam.basis(3)
+    for d in (3, 5, 7, 11, 13):
+        mod = Modulus(d)
+        fam = mub_family(mod)
+        assert fam.shape == (d + 1, d, d)
+        assert np.array_equal(fam[0], np.eye(d, dtype=complex))
+        for b in range(-1, d):
+            for m in range(d):
+                assert np.array_equal(fam[b + 1][:, m], mub_state(mod, b, m))
 
 
 def test_family_arrays_are_frozen():
     fam = mub_family(Modulus(3))
     with pytest.raises(ValueError):
-        fam.basis(0)[0, 0] = 0
+        fam[1][0, 0] = 0
 
 
 def test_eigenrelation_direct_check():

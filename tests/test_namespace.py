@@ -3,12 +3,12 @@ import inspect
 import mubgeo
 from mubgeo import core, errors, geometry, mub, operators, phasespace
 
-# public names that no command, check or other function of the package used
+# public names deleted from the package: unused, or a second copy of another
 DELETED = {
     core.Modulus: ["reduce", "inverse"],
-    errors: ["NoInverseError"],
+    errors: ["NoInverseError", "NoCommonPointError"],
     geometry: ["check_apg_point", "incident", "line_to_apg_point", "apg_point_to_line"],
-    mub.MubFamily: ["state"],
+    mub: ["MubFamily", "basis_matrix"],
     operators: ["point_operator_stack", "line_operator_stack", "line_operator_sum"],
     phasespace: ["marginalize"],
     phasespace.MubProbabilities: ["check_range"],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracle import line_operator_stack, line_operator_sum, point_operator_stack
+from oracle import clifford_gates, line_operator_stack, line_operator_sum, point_operator_stack
 
 from mubgeo import operators
 from mubgeo.core import Modulus, omega_power
@@ -183,6 +183,18 @@ def test_line_operator_trace_and_square(d):
         assert abs(np.trace(p) - 1) <= d * 1e-10
         assert np.abs(p @ p - np.eye(d)).max() <= d * 1e-10
         assert abs(np.trace(p @ p) - d) <= d * 1e-10
+
+
+@pytest.mark.parametrize("d", [5, 7, 11, 13])
+def test_clifford_gates_permute_line_operators(d):
+    mod = Modulus(d)
+    s, f = clifford_gates(mod)
+    for a, m0 in np.ndindex(d, d):
+        p = line_operator_direct(mod, Line(a, m0))
+        by_s = line_operator_direct(mod, Line(a, (m0 - a + mod.half(1)) % d))
+        by_f = line_operator_direct(mod, Line(m0, -a % d))
+        assert np.abs(s @ p @ s.conj().T - by_s).max() <= 1e-13
+        assert np.abs(f @ p @ f.conj().T - by_f).max() <= 1e-13
 
 
 def test_oracle_stacks_layout():

@@ -268,7 +268,6 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
         (operators, "point_operator_direct"),
         (operators, "line_operator_direct"),
         (mub, "mub_state"),
-        (mub, "basis_matrix"),
         (mub, "mub_family"),
     ]:
         monkeypatch.setattr(module, name, refuse)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import line_operator_stack, point_operator_stack
+from oracle import clifford_gates, line_operator_stack, point_operator_stack
 
 from mubgeo.core import Modulus
 from mubgeo.geometry import incidence_matrix
@@ -73,6 +73,20 @@ def test_displacement_covariance(dg, s, t):
 
 
 @deterministic
+@given(square(ORACLE_PRIMES), st.booleans())
+def test_clifford_covariance(dg, fourier):
+    # tr(U^dagger B U P_j) = tr(B U P_j U^dagger) = V_B(pi(j)) for the gate's line permutation pi
+    d, g = dg
+    mod = Modulus(d)
+    b = hermitian(g)
+    s, f = clifford_gates(mod)
+    a, m0 = np.indices((d, d))
+    u, to = (f, (m0, -a % d)) if fourier else (s, (a, (m0 - a + mod.half(1)) % d))
+    moved = map_operator(mod, u.conj().T @ b @ u).values
+    assert np.abs(moved - map_operator(mod, b).values[to]).max() <= tol(d, b)
+
+
+@deterministic
 @given(square(PRIMES))
 def test_map_reconstruct_round_trip(dg):
     d, g = dg
@@ -107,7 +121,7 @@ def test_probabilities_match_basis_diagonals(dg):
     d, g = dg
     mod = Modulus(d)
     rho = state(g)
-    expected = [np.einsum("ni,nm,mi->i", u.conj(), rho, u).real for u in mub_family(mod).bases]
+    expected = [np.einsum("ni,nm,mi->i", u.conj(), rho, u).real for u in mub_family(mod)]
     assert np.abs(probabilities_from_state(mod, rho).values - expected).max() <= tol(d, rho)
 
 
