@@ -47,7 +47,6 @@ from .mub import (
 )
 from .operators import (
     line_operator_direct,
-    point_operator,
     point_operator_direct,
     verify_operator_identities,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -120,21 +121,19 @@ def _parse_value(fields: list[str], label: str) -> tuple[int, int, float]:
 def parse_quasi_csv(text: str, mod: Modulus) -> QuasiDistribution:
     """Read a quasi-distribution, requiring each line label exactly once."""
     d = mod.d
-    values = np.zeros((d, d))
-    seen = np.zeros((d, d), dtype=bool)
+    rows: dict[int, float] = {}  # by line_index: lexicographic in (m_minus1, m0)
     for fields in _split_csv(text, QUASI_HEADER, "quasi-distribution CSV"):
         a, b, v = _parse_value(fields, "quasi-distribution CSV")
         if not (0 <= a < d and 0 <= b < d):
             raise MissingLineError(f"line label ({a},{b}) is out of range for d={d}")
-        if seen[a, b]:
+        if a * d + b in rows:
             raise MissingLineError(f"duplicate row for line ({a},{b})")
-        seen[a, b] = True
-        values[a, b] = v
-    missing = np.flatnonzero(~seen)  # row-major: lexicographic in (m_minus1, m0)
-    if len(missing):
-        shown = ", ".join(f"({k // d},{k % d})" for k in missing[:4].tolist())
-        raise MissingLineError(f"{len(missing)} line labels missing (first: {shown})")
-    return QuasiDistribution(mod, values)
+        rows[a * d + b] = v
+    if len(rows) < d * d:  # name the first four missing; the scan stops after them
+        missing = islice((k for k in range(d * d) if k not in rows), 4)
+        shown = ", ".join(f"({k // d},{k % d})" for k in missing)
+        raise MissingLineError(f"{d * d - len(rows)} line labels missing (first: {shown})")
+    return QuasiDistribution(mod, np.array([rows[k] for k in range(d * d)]).reshape(d, d))
 
 
 def probabilities_to_csv(probs: MubProbabilities) -> str:
@@ -150,18 +149,18 @@ def probabilities_to_csv(probs: MubProbabilities) -> str:
 def parse_probabilities_csv(text: str, mod: Modulus) -> MubProbabilities:
     """Read a probability table, requiring each point label exactly once."""
     d = mod.d
-    values = np.zeros((d + 1, d))
-    seen = np.zeros((d + 1, d), dtype=bool)
+    rows: dict[int, float] = {}  # by point_index: column b = -1 first, then m
     for fields in _split_csv(text, PROBABILITY_HEADER, "probability CSV"):
         m, b, v = _parse_value(fields, "probability CSV")
         if not (0 <= m < d and -1 <= b < d):
             raise IncompleteProbabilitiesError(f"point label ({m},{b}) is out of range for d={d}")
-        if seen[b + 1, m]:
+        if (b + 1) * d + m in rows:
             raise IncompleteProbabilitiesError(f"duplicate row for point ({m},{b})")
-        seen[b + 1, m] = True
-        values[b + 1, m] = v
-    missing = np.flatnonzero(~seen)  # row-major: column b = -1 first, then m
-    if len(missing):
-        shown = ", ".join(f"({k % d},{k // d - 1})" for k in missing[:4].tolist())
-        raise IncompleteProbabilitiesError(f"{len(missing)} point labels missing (first: {shown})")
-    return MubProbabilities(mod, values)
+        rows[(b + 1) * d + m] = v
+    if len(rows) < d * (d + 1):  # name the first four missing; the scan stops after them
+        missing = islice((k for k in range(d * (d + 1)) if k not in rows), 4)
+        shown = ", ".join(f"({k % d},{k // d - 1})" for k in missing)
+        raise IncompleteProbabilitiesError(
+            f"{d * (d + 1) - len(rows)} point labels missing (first: {shown})"
+        )
+    return MubProbabilities(mod, np.array([rows[k] for k in range(d * (d + 1))]).reshape(d + 1, d))

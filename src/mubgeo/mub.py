@@ -63,10 +63,11 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     """
     d = mod.d
     x = x_matrix(mod)
-    z = z_matrix(mod)
-    ops = np.stack([z] + [x @ np.linalg.matrix_power(z, b) for b in range(d)])
+    roots = np.array(roots_of_unity(d))
+    n = np.arange(d)
+    ops = np.stack([z_matrix(mod)] + [x * roots[b * n % d] for b in range(d)])  # X Z^b
     family = mub_family(mod)
-    norms = np.linalg.norm(ops @ family - family * np.array(roots_of_unity(d)), axis=1)
+    norms = np.linalg.norm(ops @ family - family * roots, axis=1)
     worst = norms.max(axis=1)
     return AxiomReport.from_findings(
         d,

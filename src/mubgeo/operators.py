@@ -25,15 +25,8 @@ from .geometry import (
     format_point,
     incidence_matrix,
 )
-from .mub import mub_state
+from .mub import mub_family
 from .report import AxiomReport, witness
-
-
-def point_operator(mod: Modulus, point: Point) -> np.ndarray:
-    """Projector onto the basis state labelled by the point (outer-product route)."""
-    check_point(mod, point)
-    v = mub_state(mod, point.b, point.m)
-    return np.outer(v, v.conj())
 
 
 def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
@@ -69,10 +62,7 @@ def line_operator_direct(mod: Modulus, line: Line) -> np.ndarray:
 
 
 def _over_lines(n: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """For each line, the sum of a point-indexed complex stack over its points: N^T stack.
-
-    One real product on the float view of the stack, not a complex one on a promoted N.
-    """
+    """n^T stack as one real product on its float view: per line with n = N, per point with N^T."""
     d = stack.shape[-1]
     return (n.T @ stack.reshape(len(stack), -1).view(float)).view(complex).reshape(-1, d, d)
 
@@ -96,9 +86,9 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
 
     Summed identities are held to d*eps; the agreement between the two
     independent construction routes is held to eps itself. The expected
-    incidence traces are the incidence matrix N. The point projectors A come
-    from the outer-product route and the line operators as N^T A - I; both
-    are held to the direct routes entry by entry.
+    incidence traces are the incidence matrix N. The point projectors A are
+    the outer products of the states of mub_family and the line operators
+    are N^T A - I; both are held to the direct routes entry by entry.
     """
     d = mod.d
     points = all_points(mod)
@@ -107,7 +97,8 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     ln_labels = [format_line(ln) for ln in lines]
     n = incidence_matrix(mod)
     eye = np.eye(d)
-    a_stack = np.stack([point_operator(mod, p) for p in points])
+    states = mub_family(mod).transpose(0, 2, 1).reshape(len(points), d)  # point_index order
+    a_stack = states[:, :, None] * states[:, None, :].conj()
     p_stack = _over_lines(n, a_stack) - eye
     tol = d * eps
     findings: dict[str, str] = {}
@@ -137,7 +128,7 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     dev = float(np.abs(p_stack.sum(axis=0) - d * eye).max())
     findings["op.line_sum"] = "" if dev <= tol else f"total deviates from dI by {dev:.3e}"
 
-    averages = (n @ p_stack.reshape(len(lines), -1)).reshape(len(points), d, d) / d
+    averages = _over_lines(n.T, p_stack) / d
     dev = np.abs(averages - a_stack).max(axis=(1, 2))
     findings["op.point_from_lines"] = _worst(dev, tol, "line average at point", pt_labels)
 

@@ -102,6 +102,19 @@ def _line_coefficients(b: np.ndarray) -> np.ndarray:
     return spectrum[:, 2 * k % d] * np.exp(2j * np.pi * (2 * a * k % d) / d)
 
 
+def _scale(b: np.ndarray) -> float:
+    """max(1, |B|_F), without overflow."""
+    return max(1.0, float(np.hypot.reduce(np.abs(b), axis=None)))
+
+
+def _real(vals: np.ndarray, b: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """vals.real, once their imaginary residue is within d * max(tol, 4 * 2^-52 * max(1, |B|_F))."""
+    worst = float(np.abs(vals.imag).max())
+    if worst > len(b) * tol and worst > 4 * len(b) * np.finfo(float).eps * _scale(b):
+        raise NonHermitianInputError(f"{what} carry imaginary part {worst:.3e}")
+    return vals.real
+
+
 def _slices(mod: Modulus) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Index into FFT2(V) and phase of frequency k of column b = -1..d-1, as tables [b+1, k]."""
     k = np.arange(mod.d)
@@ -116,18 +129,14 @@ def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistrib
     Hermiticity is held to eps * max(1, |B|_F), the imaginary residue (d entries) to d times that.
     """
     b = as_square_matrix(matrix, mod.d)
-    tol = eps * max(1.0, float(np.hypot.reduce(np.abs(b), axis=None)))  # |B|_F, no overflow
+    tol = eps * _scale(b)
     defect, (i, j) = hermiticity_defect(b)
     if defect > tol:
         raise NonHermitianInputError(
             f"input is not Hermitian within {tol:g}:"
             f" max asymmetry {defect:.3e} at entry ({i},{j})"
         )
-    vals = _line_coefficients(b)
-    worst_imag = float(np.abs(vals.imag).max())
-    if worst_imag > mod.d * tol:
-        raise NonHermitianInputError(f"coefficients carry imaginary part {worst_imag:.3e}")
-    return QuasiDistribution(mod, vals.real)
+    return QuasiDistribution(mod, _real(_line_coefficients(b), b, tol, "coefficients"))
 
 
 def reconstruct(quasi: QuasiDistribution) -> np.ndarray:
@@ -183,10 +192,7 @@ def probabilities_from_state(
     rho = validate_density_matrix(mod, rho, eps, check_psd)
     index, phases = _slices(mod)
     vals = np.fft.ifft(np.fft.fft2(_line_coefficients(rho))[index] * phases, axis=1) / mod.d
-    worst_imag = float(np.abs(vals.imag).max())
-    if worst_imag > mod.d * eps:
-        raise NonHermitianInputError(f"probabilities carry imaginary part {worst_imag:.3e}")
-    return MubProbabilities(mod, vals.real)
+    return MubProbabilities(mod, _real(vals, rho, eps, "probabilities"))
 
 
 def quasi_from_probabilities(

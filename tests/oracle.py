@@ -1,18 +1,26 @@
-"""The second construction route of the line operators, and dense operator stacks.
+"""The per-label construction routes of the operators, and dense operator stacks.
 
-The package builds line operators from their anti-diagonal closed form and
-computes the phase-space functions without building any operator. The tests
-hold both against these slow references: a line operator as the sum of its
-d+1 incident projectors minus the identity, and every point and line operator
-stacked in point_index and line_index order. It also builds the two Clifford
-gates that permute the line operators.
+The package builds line operators from their anti-diagonal closed form, the
+battery's projectors in one broadcast over the bases, and the phase-space
+functions without building any operator. The tests hold these against slow
+references: a point projector as the outer product of one state, a line
+operator as the sum of its d+1 incident projectors minus the identity, and
+every point and line operator stacked in point_index and line_index order.
+It also builds the two Clifford gates that permute the line operators.
 """
 
 import numpy as np
 
 from mubgeo.core import roots_of_unity
-from mubgeo.geometry import all_lines, all_points, check_line, line_points
-from mubgeo.operators import point_operator
+from mubgeo.geometry import all_lines, all_points, check_line, check_point, line_points
+from mubgeo.mub import mub_state
+
+
+def point_operator(mod, point):
+    """Projector onto the basis state labelled by the point (outer-product route)."""
+    check_point(mod, point)
+    v = mub_state(mod, point.b, point.m)
+    return np.outer(v, v.conj())
 
 
 def line_operator_sum(mod, line):

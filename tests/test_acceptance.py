@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 from conftest import random_density, random_hermitian_trace_one
-from oracle import line_operator_sum
+from oracle import line_operator_sum, point_operator
 
 from mubgeo.core import DEFAULT_EPS, Modulus
 from mubgeo.geometry import Line, Point, verify_apg_axioms, verify_dapg_axioms, verify_duality
@@ -19,7 +19,6 @@ from mubgeo.io import matrix_to_json, parse_matrix_json, parse_quasi_csv, probab
 from mubgeo.mub import mub_state, verify_eigenrelation, verify_unbiasedness
 from mubgeo.operators import (
     line_operator_direct,
-    point_operator,
     point_operator_direct,
     verify_operator_identities,
 )

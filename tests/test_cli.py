@@ -284,6 +284,32 @@ def test_reconstruct_missing_row(tmp_path):
     assert "missing" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "reconstruct",
+            "m_minus1,m0,value\n0,0,1.0\n",
+            "400440120 line labels missing (first: (0,1), (0,2), (0,3), (0,4))",
+        ),
+        (
+            "tomography",
+            "m,b,value\n0,-1,1.0\n",
+            "400460131 point labels missing (first: (1,-1), (2,-1), (3,-1), (4,-1))",
+        ),
+    ],
+)
+def test_one_row_file_is_refused_at_once_at_large_d(tmp_path, command, text, message):
+    # a table sized by --d = 20011 would take several GB; the parser builds none
+    source = tmp_path / "one_row.csv"
+    source.write_text(text)
+    start = time.monotonic()
+    result = run_cli(command, "--d", "20011", "--input", str(source))
+    assert time.monotonic() - start < 1.0
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_tomography_round_trip(tmp_path, rng):
     rho = random_density(rng, 3)
     probs = probabilities_from_state(MOD3, rho)

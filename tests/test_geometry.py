@@ -332,3 +332,86 @@ def test_duality_common_point_fault_is_located(monkeypatch, target, fix, shares)
     checks = {c.axiom: c for c in verify_duality(MOD5).checks}
     assert checks["duality.pencil_common_point"].counterexample == shares
     assert not any(c.ok for c in checks.values())
+
+
+def test_duplicate_line_fails_the_counts(monkeypatch):
+    # line (0,1) answers with the points of line (0,0)
+    original = geometry.line_points
+    twin = {Line(0, 1): Line(0, 0)}
+    monkeypatch.setattr(geometry, "line_points", lambda mod, ln: original(mod, twin.get(ln, ln)))
+    assert _failures(verify_dapg_axioms(MOD5)) == [
+        ("dapg.counts", "24 distinct lines, 30 points"),
+        ("dapg.lines_meet_once", "lines (0,0) and (0,1) share 6 points"),
+        ("dapg.points_join_once", "points (0,-1) and (0,0) lie on 2 common lines"),
+        ("dapg.degrees", "point (0,0) lies on 6 lines"),
+        ("dapg.cross_column_connected", "points (0,-1) and (1,0) are disconnected"),
+    ]
+
+
+def test_column_profile_fault_is_located(monkeypatch):
+    # lines (0,0) and (1,1) trade their points (0,0) and (4,1), and both pencils agree:
+    # every point still lies on d lines, but each of the two lines misses a column
+    p, q = Point(0, 0), Point(4, 1)
+    _corrupt(monkeypatch, "line_points", Line(0, 0), 1, lambda _: q)
+    _corrupt(monkeypatch, "line_points", Line(1, 1), 2, lambda _: p)
+    _corrupt(monkeypatch, "lines_through_point", p, 0, lambda _: Line(1, 1))
+    _corrupt(monkeypatch, "lines_through_point", q, 1, lambda _: Line(0, 0))
+    assert _failures(verify_dapg_axioms(MOD5)) == [
+        ("dapg.lines_meet_once", "lines (0,0) and (0,2) share 2 points"),
+        ("dapg.points_join_once", "points (0,-1) and (0,0) lie on 0 common lines"),
+        ("dapg.degrees", "line (0,0) has column profile [-1, 1, 1, 2, 3, 4]"),
+        ("dapg.columns_partition", "points (0,0) and (1,0) of column 0 share 1 lines"),
+        ("dapg.cross_column_connected", "points (0,-1) and (0,0) are disconnected"),
+    ]
+
+
+def test_class_size_fault_is_located(monkeypatch):
+    # apg_lines lists SlopedLine(1, 0) twice and SlopedLine(0, 0) not at all
+    original = geometry.apg_lines
+    monkeypatch.setattr(
+        geometry, "apg_lines", lambda mod: (SlopedLine(1, 0),) + original(mod)[1:]
+    )
+    assert _failures(verify_apg_axioms(MOD5)) == [
+        ("apg.counts", "wrong point/line counts"),
+        ("apg.unique_join", "points (0,0) and (1,0) lie on 0 lines"),
+        ("apg.parallel_postulate", "0 parallels to SlopedLine(r=0, s=1) through (0,0)"),
+        ("apg.parallel_classes", "6 classes with sizes [4, 5, 5, 5, 5, 6]"),
+    ]
+
+
+def test_collinear_triple_is_found(monkeypatch):
+    # the line eta = 0 holds (0,1) in place of (2,0), so it covers (0,0), (1,0) and (0,1)
+    _corrupt(monkeypatch, "apg_line_points", SlopedLine(0, 0), 2, lambda _: ApgPoint(0, 1))
+    assert _failures(verify_apg_axioms(MOD5)) == [
+        ("apg.unique_join", "points (0,0) and (0,1) lie on 2 lines"),
+        ("apg.parallel_postulate", "2 parallels to SlopedLine(r=0, s=0) through (0,2)"),
+        (
+            "apg.parallel_classes",
+            "parallel lines SlopedLine(r=0, s=0) and SlopedLine(r=0, s=1) intersect",
+        ),
+        (
+            "apg.cross_class_meet_once",
+            "lines SlopedLine(r=0, s=0) and SlopedLine(r=1, s=1) of different classes"
+            " share 2 points",
+        ),
+        ("apg.non_collinear_triple", "(0,0),(1,0),(0,1) collinear"),
+    ]
+
+
+def test_class_to_column_fault_is_located(monkeypatch):
+    # the common points of SlopedLine(1, 0) and SlopedLine(2, 0) trade places: still a
+    # bijection, but slopes 1 and 2 each reach two columns
+    original = geometry.duality_common_point
+    trade = {SlopedLine(1, 0): SlopedLine(2, 0), SlopedLine(2, 0): SlopedLine(1, 0)}
+    monkeypatch.setattr(
+        geometry, "duality_common_point", lambda mod, line: original(mod, trade.get(line, line))
+    )
+    assert _failures(verify_duality(MOD5)) == [
+        ("duality.pencil_common_point", "pencil of SlopedLine(r=1, s=0) shares [Point(m=3, b=4)]"),
+        ("duality.class_to_column_bijection", "slope 1 maps to columns [3, 4]"),
+        (
+            "duality.point_pencil_roundtrip",
+            "pencil through (1,1) maps onto [Point(m=0, b=3), Point(m=1, b=-1),"
+            " Point(m=1, b=0), Point(m=1, b=3), Point(m=2, b=2), Point(m=4, b=1)]",
+        ),
+    ]

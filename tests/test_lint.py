@@ -28,6 +28,32 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["b", "os"]
 
 
+def unused_privates(source: str) -> list[str]:
+    """Module-level functions, classes and constants named _x that the module never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(n for n in defined - used if n.startswith("_") and not n.endswith("__"))
+
+
+def test_unused_privates_are_found():
+    source = "_A = 1\n_B: int = 2\n__all__ = []\nC = _B\n"
+    source += "def _f():\n    return _g()\ndef _g(): pass\n"
+    assert unused_privates(source) == ["_A", "_f"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    # a helper orphaned by a deletion fails here
+    assert unused_privates(path.read_text()) == []

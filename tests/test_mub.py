@@ -141,3 +141,8 @@ def test_unbiasedness_report(d):
     report = verify_unbiasedness(Modulus(d))
     assert report.passed
     assert {c.axiom for c in report.checks} == {"mub.orthonormal", "mub.unbiased"}
+
+
+def test_eigenrelation_reads_z_powers_off_the_root_table():
+    # X Z^b read off the table of roots leaves residuals below 1e-15 at d = 47
+    assert verify_eigenrelation(Modulus(47), eps=5e-15).passed

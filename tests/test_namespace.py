@@ -9,7 +9,12 @@ DELETED = {
     errors: ["NoInverseError", "NoCommonPointError"],
     geometry: ["check_apg_point", "incident", "line_to_apg_point", "apg_point_to_line"],
     mub: ["MubFamily", "basis_matrix"],
-    operators: ["point_operator_stack", "line_operator_stack", "line_operator_sum"],
+    operators: [
+        "point_operator",
+        "point_operator_stack",
+        "line_operator_stack",
+        "line_operator_sum",
+    ],
     phasespace: ["marginalize"],
     phasespace.MubProbabilities: ["check_range"],
 }

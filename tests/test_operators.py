@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
-from oracle import clifford_gates, line_operator_stack, line_operator_sum, point_operator_stack
+from oracle import (
+    clifford_gates,
+    line_operator_stack,
+    line_operator_sum,
+    point_operator,
+    point_operator_stack,
+)
 
-from mubgeo import operators
+from mubgeo import mub, operators
 from mubgeo.core import Modulus, omega_power
 from mubgeo.geometry import (
     Line,
@@ -16,7 +22,6 @@ from mubgeo.geometry import (
 from mubgeo.mub import mub_state
 from mubgeo.operators import (
     line_operator_direct,
-    point_operator,
     point_operator_direct,
     verify_operator_identities,
 )
@@ -217,3 +222,102 @@ def test_identity_report_passes(d):
     assert "op.point_route_equality" in axioms
     assert "op.line_route_equality" in axioms
     assert "op.cross_term_distillation" in axioms
+
+
+def test_battery_reads_projectors_off_the_cached_bases(monkeypatch):
+    mod = Modulus(7)
+    mub.mub_family(mod)
+
+    def refuse(*args):
+        raise AssertionError("the battery built a basis state one at a time")
+
+    for module in (mub, operators):
+        monkeypatch.setattr(module, "mub_state", refuse, raising=False)
+    report = verify_operator_identities(mod)
+    assert report.passed, [c for c in report.checks if not c.ok]
+
+
+# Fault injection at d = 5: mub_family answers with one state of basis b = 2 changed. The
+# mub checks and the battery read the same array, so both see the fault.
+MOD5 = Modulus(5)
+
+
+def _scaled(family):
+    family[3][:, 2] *= 1 + 1e-6
+
+
+def _zeroed(family):
+    family[3][:, 2] = 0
+
+
+def _swapped(family):
+    family[3][:, [1, 2]] = family[3][:, [2, 1]]
+
+
+@pytest.mark.parametrize(
+    "fault, failures",
+    [
+        (
+            _scaled,
+            [
+                ("mub.orthonormal", "basis b=2 deviates from orthonormality by 2.000e-06"),
+                ("mub.unbiased", "bases b=-1, b=2 overlap off 1/sqrt(d) by 4.472e-07"),
+                ("op.point_projector", "projector law for point (2,2) deviates by 4.000e-07"),
+                ("op.column_completeness", "column b=2 resolution deviates by 4.000e-07"),
+                ("op.global_sum", "total deviates from (d+1)I by 4.000e-07"),
+                ("op.line_sum", "total deviates from dI by 2.000e-06"),
+                ("op.point_from_lines", "line average at point (1,-1) deviates by 8.000e-08"),
+                ("op.line_trace", "trace of line operator (0,3) deviates by 2.000e-06"),
+                ("op.line_gram", "line gram (0,3) vs (4,0) deviates by 4.000e-06"),
+                ("op.line_involution", "square of line operator (0,3) deviates by 8.000e-07"),
+                ("op.cross_term_distillation", "cross terms on line (0,3) deviate by 4.000e-07"),
+                ("op.point_route_equality", "point routes at (2,2) deviates by 4.000e-07"),
+                ("op.line_route_equality", "line routes at (0,3) deviates by 4.000e-07"),
+                ("op.point_gram_cases", "point gram (2,2) vs (2,2) deviates by 4.000e-06"),
+                ("op.incidence_trace", "incidence trace (2,2) vs (0,3) deviates by 4.000e-06"),
+            ],
+        ),
+        (
+            _zeroed,
+            [
+                ("mub.orthonormal", "basis b=2 deviates from orthonormality by 1.000e+00"),
+                ("mub.unbiased", "bases b=-1, b=2 overlap off 1/sqrt(d) by 4.472e-01"),
+                ("op.point_projector", "trace of point operator (2,2) deviates by 1.000e+00"),
+                ("op.column_completeness", "column b=2 resolution deviates by 2.000e-01"),
+                ("op.global_sum", "total deviates from (d+1)I by 2.000e-01"),
+                ("op.line_sum", "total deviates from dI by 1.000e+00"),
+                ("op.point_from_lines", "line average at point (0,-1) deviates by 4.000e-02"),
+                ("op.line_trace", "trace of line operator (0,3) deviates by 1.000e+00"),
+                ("op.line_gram", "line gram (0,3) vs (0,3) deviates by 1.000e+00"),
+                ("op.line_involution", "square of line operator (0,3) deviates by 2.000e-01"),
+                ("op.cross_term_distillation", "cross terms on line (0,3) deviate by 2.000e-01"),
+                ("op.point_route_equality", "point routes at (2,2) deviates by 2.000e-01"),
+                ("op.line_route_equality", "line routes at (0,3) deviates by 2.000e-01"),
+                ("op.point_gram_cases", "point gram (2,2) vs (2,2) deviates by 1.000e+00"),
+                ("op.incidence_trace", "incidence trace (2,2) vs (0,3) deviates by 1.000e+00"),
+            ],
+        ),
+        (
+            _swapped,
+            [
+                ("mub.eigenrelation", "state (m=2, b=2) has residual 1.176e+00"),
+                ("op.line_involution", "square of line operator (2,3) deviates by 6.954e-01"),
+                ("op.cross_term_distillation", "cross terms on line (0,2) deviate by 6.954e-01"),
+                ("op.point_route_equality", "point routes at (1,2) deviates by 3.804e-01"),
+                ("op.line_route_equality", "line routes at (0,2) deviates by 3.804e-01"),
+            ],
+        ),
+    ],
+    ids=["scaled", "zeroed", "swapped"],
+)
+def test_faulted_basis_state_is_located(monkeypatch, fault, failures):
+    family = mub.mub_family(MOD5).copy()
+    fault(family)
+    for module in (mub, operators):
+        monkeypatch.setattr(module, "mub_family", lambda mod: family)
+    reports = [
+        mub.verify_eigenrelation(MOD5),
+        mub.verify_unbiasedness(MOD5),
+        verify_operator_identities(MOD5),
+    ]
+    assert [(c.axiom, c.counterexample) for r in reports for c in r.checks if not c.ok] == failures

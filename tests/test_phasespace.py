@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian_trace_one
+from oracle import point_operator
 
-from mubgeo import mub, operators
+from mubgeo import mub, operators, phasespace
 from mubgeo.core import Modulus, hermiticity_defect
 from mubgeo.errors import (
     ColumnNotNormalizedError,
@@ -12,7 +13,7 @@ from mubgeo.errors import (
     NonHermitianInputError,
 )
 from mubgeo.geometry import Line, Point, all_lines, all_points, lines_through_point
-from mubgeo.operators import line_operator_direct, point_operator
+from mubgeo.operators import line_operator_direct
 from mubgeo.phasespace import (
     MubProbabilities,
     QuasiDistribution,
@@ -94,6 +95,48 @@ def test_defect_just_above_hermiticity_bound_raises(kernel):
     matrix = np.eye(5) / 5 + 5.5e-11 * ANTI_HERMITIAN_J  # defect 1.1e-10 > 1e-10
     with pytest.raises(NonHermitianInputError, match="not Hermitian"):
         kernel(MOD5, matrix)
+
+
+def _exact_state(rng, d):
+    """A density matrix that is exactly Hermitian with a trace of exactly 1.
+
+    The diagonal holds powers of two summing to 1; the off-diagonal part is a
+    symmetrised random matrix, too small to make any eigenvalue negative.
+    """
+    top = 1 << (d - 1).bit_length()
+    diag = np.full(d, 1.0 / top)
+    diag[: top - d] *= 2
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (g + g.conj().T) / 2
+    np.fill_diagonal(h, 0)
+    return np.diag(diag) + h / (2 * top * np.linalg.norm(h, 2))
+
+
+@pytest.mark.parametrize("d", [5, 31])
+def test_exactly_hermitian_input_passes_at_any_eps(rng, d):
+    # the residue bound is floored at the FFTs' own rounding, so a tiny eps rejects nothing exact
+    rho = _exact_state(rng, d)
+    assert hermiticity_defect(rho)[0] == 0.0
+    mod = Modulus(d)
+    quasi = map_operator(mod, rho, eps=1e-18)
+    assert np.abs(reconstruct(quasi) - rho).max() <= 1e-13
+    probs = probabilities_from_state(mod, rho, eps=1e-18)
+    assert np.abs(probs.column_sums() - 1).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        (map_operator, "coefficients carry imaginary part 1.000e-06"),
+        (probabilities_from_state, "probabilities carry imaginary part 1.000e-06"),
+    ],
+)
+def test_imaginary_residue_of_a_faulted_kernel_raises(monkeypatch, kernel, message):
+    original = phasespace._line_coefficients
+    monkeypatch.setattr(phasespace, "_line_coefficients", lambda b: original(b) + 1e-6j)
+    with pytest.raises(NonHermitianInputError) as exc:
+        kernel(MOD5, np.eye(5) / 5)
+    assert str(exc.value) == message
 
 
 def test_map_rejects_wrong_size():
@@ -264,7 +307,7 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
         raise AssertionError("a phase-space function built an operator or a basis state")
 
     for module, name in [
-        (operators, "point_operator"),
+        (operators, "mub_family"),
         (operators, "point_operator_direct"),
         (operators, "line_operator_direct"),
         (mub, "mub_state"),
