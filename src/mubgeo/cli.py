@@ -68,7 +68,7 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
     (d(d+1))^2 entries; the mub checks about two copies of the d+1 complex
     d x d bases. Scopes run one after another, so --scope all needs the largest,
     plus 64 MB for the interpreter and numpy (~30 MB measured). Measured peaks
-    of --scope all: ~56 MB at d = 19, ~190 MB at d = 31, ~500 MB at d = 41.
+    of --scope all: ~53 MB at d = 19, ~170 MB at d = 31, ~440 MB at d = 41.
     """
     p2 = (d * (d + 1)) ** 2
     need = {
@@ -78,6 +78,25 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
         "operators": 192 * p2,
     }
     return 64 * 2**20 + max(need.values() if scope == "all" else [need[scope]])
+
+
+def _operator_peak_bytes(d: int) -> int:
+    """An upper estimate, in bytes, of the peak memory of show operator at d: 64 MB + 160 d^2.
+
+    The point rule's phase tables, the matrix and its JSON text take ~117 bytes per entry:
+    wait4 peaks of show operator --alpha 1,2 were 50, 164 and 498 MiB at d = 401, 1009, 2003.
+    """
+    return 64 * 2**20 + 160 * d * d
+
+
+def _refuse_beyond_memory(what: str, need: int) -> None:
+    """Raise ValueError when an estimated peak of need bytes exceeds physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.1f} GiB,"
+            f" more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
@@ -118,13 +137,8 @@ def cmd_verify(args) -> int:
             f"eps {eps:g} is not below 1/(2 d^2) = {ceiling:.3g}: held to d*eps, the 1/d gap"
             " of the point Gram cases could no longer fail"
         )
-    need = _verify_peak_bytes(mod.d, args.scope)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"verify --scope {args.scope} at d={mod.d} needs about {need / 2**30:.1f} GiB,"
-            f" more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    what = f"verify --scope {args.scope} at d={mod.d}"
+    _refuse_beyond_memory(what, _verify_peak_bytes(mod.d, args.scope))
     reports = []
     if args.scope in ("geometry", "all"):
         reports.append(verify_dapg_axioms(mod))
@@ -162,6 +176,7 @@ def cmd_show(args) -> int:
     elif args.kind == "operator":
         if (args.j is None) == (args.alpha is None):
             raise ValueError("show operator needs exactly one of --j or --alpha")
+        _refuse_beyond_memory(f"show operator at d={mod.d}", _operator_peak_bytes(mod.d))
         if args.j is not None:
             matrix = line_operator_direct(mod, _parse_line_label(mod, args.j))
         else:

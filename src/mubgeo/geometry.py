@@ -16,7 +16,6 @@ lines indexed by an affine line all pass through a single dual-plane point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -64,27 +63,25 @@ class VerticalLine:
 ApgLine = Union[SlopedLine, VerticalLine]
 
 
+def _first(label, ok):
+    """label itself when its fields are scalars, else its first entry where ok is false."""
+    if np.ndim(ok) == 0:
+        return label
+    return type(label)(*(np.broadcast_to(f, ok.shape).flat[np.argmin(ok)].item() for f in label))
+
+
 def check_point(mod: Modulus, point: Point) -> None:
-    if not (0 <= point.m < mod.d and CB_COLUMN <= point.b < mod.d):
-        raise ValueError(f"invalid point label {format_point(point)} for d={mod.d}")
+    """Raise ValueError unless every point is valid; the fields may be arrays."""
+    ok = (0 <= point.m) & (point.m < mod.d) & (CB_COLUMN <= point.b) & (point.b < mod.d)
+    if not np.all(ok):
+        raise ValueError(f"invalid point label {format_point(_first(point, ok))} for d={mod.d}")
 
 
 def check_line(mod: Modulus, line: Line) -> None:
-    if not (0 <= line.m_minus1 < mod.d and 0 <= line.m0 < mod.d):
-        raise ValueError(f"invalid line label {format_line(line)} for d={mod.d}")
-
-
-def check_apg_line(mod: Modulus, apg_line: ApgLine) -> None:
-    if isinstance(apg_line, VerticalLine):
-        if not 0 <= apg_line.xi < mod.d:
-            raise ValueError(f"invalid vertical line xi={apg_line.xi} for d={mod.d}")
-    elif isinstance(apg_line, SlopedLine):
-        if not (0 <= apg_line.r < mod.d and 0 <= apg_line.s < mod.d):
-            raise ValueError(
-                f"invalid sloped line (r={apg_line.r}, s={apg_line.s}) for d={mod.d}"
-            )
-    else:
-        raise TypeError(f"not an affine line: {apg_line!r}")
+    """Raise ValueError unless every line is valid; the fields may be arrays."""
+    ok = (0 <= line.m_minus1) & (line.m_minus1 < mod.d) & (0 <= line.m0) & (line.m0 < mod.d)
+    if not np.all(ok):
+        raise ValueError(f"invalid line label {format_line(_first(line, ok))} for d={mod.d}")
 
 
 def format_point(point: Point) -> str:
@@ -105,35 +102,55 @@ def all_lines(mod: Modulus) -> tuple[Line, ...]:
     return tuple(Line(a, b) for a in range(mod.d) for b in range(mod.d))
 
 
+def _unstack(labels) -> tuple:
+    """A label whose fields are equal-length arrays, as a tuple of labels."""
+    return tuple(map(type(labels), *(f.tolist() for f in labels)))
+
+
 def line_points(mod: Modulus, line: Line) -> tuple[Point, ...]:
     """The d+1 points of a line, one per column, in column order -1, 0, .., d-1."""
     check_line(mod, line)
-    rows = line_row(mod, line, np.arange(mod.d)).tolist()
-    return (Point(line.m_minus1, CB_COLUMN),) + tuple(map(Point, rows, range(mod.d)))
+    return _unstack(_line_points(mod, *line))
 
 
-def line_row(mod: Modulus, line: Line, b: int):
-    """The row at which a line crosses column b >= 0: half(b)(2 m_minus1 - 1) + m0 mod d.
+def _line_points(mod: Modulus, m_minus1, m0) -> Point:
+    """The points of lines (m_minus1, m0), over label arrays: fields of shape (..., d+1).
 
-    The label and b may hold integer arrays that broadcast; the rows then come back as one.
+    Column -1 holds row m_minus1, column b >= 0 row half(b)(2 m_minus1 - 1) + m0 mod d.
     """
-    return (mod.half(b) * (2 * line.m_minus1 - 1) + line.m0) % mod.d
+    b = np.arange(CB_COLUMN, mod.d)
+    m_minus1, m0 = np.expand_dims(m_minus1, -1), np.expand_dims(m0, -1)
+    m = np.where(b == CB_COLUMN, m_minus1, (mod.half(b) * (2 * m_minus1 - 1) + m0) % mod.d)
+    return Point(m, np.broadcast_to(b, m.shape))
 
 
 def lines_through_point(mod: Modulus, point: Point) -> tuple[Line, ...]:
     """The d lines through a point, in ascending m_minus1 (m0 for the reference column)."""
     check_point(mod, point)
-    if point.b == CB_COLUMN:
-        return tuple(Line(point.m, m0) for m0 in range(mod.d))
-    hb = mod.half(point.b)
-    return tuple(Line(t, (point.m - hb * (2 * t - 1)) % mod.d) for t in range(mod.d))
+    return _unstack(_pencil(mod, *point))
+
+
+def _pencil(mod: Modulus, m, b) -> Line:
+    """The lines through points (m, b), over label arrays: fields of shape (..., d).
+
+    Through column b >= 0 line t has m_minus1 = t and m0 = m - half(b)(2t - 1).
+    """
+    t = np.arange(mod.d)
+    m, b = np.expand_dims(m, -1), np.expand_dims(b, -1)
+    ref = b == CB_COLUMN
+    return Line(np.where(ref, m, t), np.where(ref, t, (m - mod.half(b) * (2 * t - 1)) % mod.d))
 
 
 def parallel_class(mod: Modulus, b: int) -> tuple[Point, ...]:
     """All d points of one column; columns partition the point set."""
     if not CB_COLUMN <= b < mod.d:
         raise ValueError(f"invalid column {b} for d={mod.d}")
-    return tuple(Point(m, b) for m in range(mod.d))
+    return _unstack(_parallel_class(mod, b))
+
+
+def _parallel_class(mod: Modulus, b) -> Point:
+    """The points of columns b, over label arrays: fields of shape (..., d)."""
+    return Point(*np.broadcast_arrays(np.arange(mod.d), np.expand_dims(b, -1)))
 
 
 def apg_points(mod: Modulus) -> tuple[ApgPoint, ...]:
@@ -142,18 +159,42 @@ def apg_points(mod: Modulus) -> tuple[ApgPoint, ...]:
 
 def apg_lines(mod: Modulus) -> tuple[ApgLine, ...]:
     """All d(d+1) affine lines: sloped ones lexicographic in (r, s), then verticals."""
-    sloped = tuple(SlopedLine(r, s) for r in range(mod.d) for s in range(mod.d))
-    vertical = tuple(VerticalLine(xi) for xi in range(mod.d))
-    return sloped + vertical
+    return tuple(_apg_line(mod, r, s) for r, s in _apg_line_labels(mod).T)
+
+
+def _apg_line_labels(mod: Modulus) -> np.ndarray:
+    """(r, s) of every affine line in apg_lines order, as rows of one array; r = d codes xi = s."""
+    return np.indices((mod.d + 1, mod.d)).reshape(2, -1)
+
+
+def _apg_line(mod: Modulus, r, s) -> ApgLine:
+    return VerticalLine(int(s)) if r == mod.d else SlopedLine(int(r), int(s))
+
+
+def _slope_intercept(mod: Modulus, apg_line: ApgLine) -> tuple[int, int]:
+    """The fields (r, s) that the array rules take for a valid affine line; r = d for xi = s."""
+    if isinstance(apg_line, VerticalLine):
+        if not 0 <= apg_line.xi < mod.d:
+            raise ValueError(f"invalid vertical line xi={apg_line.xi} for d={mod.d}")
+        return mod.d, apg_line.xi
+    if not isinstance(apg_line, SlopedLine):
+        raise TypeError(f"not an affine line: {apg_line!r}")
+    if not (0 <= apg_line.r < mod.d and 0 <= apg_line.s < mod.d):
+        raise ValueError(f"invalid sloped line (r={apg_line.r}, s={apg_line.s}) for d={mod.d}")
+    return apg_line.r, apg_line.s
 
 
 def apg_line_points(mod: Modulus, apg_line: ApgLine) -> tuple[ApgPoint, ...]:
     """The d affine points on an affine line."""
-    check_apg_line(mod, apg_line)
-    if isinstance(apg_line, VerticalLine):
-        return tuple(ApgPoint(apg_line.xi, eta) for eta in range(mod.d))
-    eta = (apg_line.r * np.arange(mod.d) + apg_line.s) % mod.d
-    return tuple(map(ApgPoint, range(mod.d), eta.tolist()))
+    return _unstack(_apg_line_points(mod, *_slope_intercept(mod, apg_line)))
+
+
+def _apg_line_points(mod: Modulus, r, s) -> ApgPoint:
+    """The points of affine lines (r, s), over label arrays: fields of shape (..., d)."""
+    t = np.arange(mod.d)
+    r, s = np.expand_dims(r, -1), np.expand_dims(s, -1)
+    vertical = r == mod.d
+    return ApgPoint(np.where(vertical, s, t), np.where(vertical, t, (r * t + s) % mod.d))
 
 
 def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:
@@ -164,74 +205,51 @@ def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:
     (s', -1). A sloped line eta = r*xi + s collects lines meeting in row
     s + half(r) of column -r mod d; slope 0 lands in column 0 at row s.
     """
-    check_apg_line(mod, apg_line)
-    if isinstance(apg_line, VerticalLine):
-        return Point(apg_line.xi, CB_COLUMN)
-    return Point((apg_line.s + mod.half(apg_line.r)) % mod.d, (-apg_line.r) % mod.d)
+    return Point(*(int(f) for f in _common_point(mod, *_slope_intercept(mod, apg_line))))
 
 
-def point_index(mod: Modulus, point: Point) -> int:
-    """Position of a point in the column-major enumeration (reference column first)."""
+def _common_point(mod: Modulus, r, s) -> Point:
+    """duality_common_point of affine lines (r, s), over label arrays."""
+    vertical = r == mod.d
+    m = np.where(vertical, s, (s + mod.half(r)) % mod.d)
+    return Point(m, np.where(vertical, CB_COLUMN, (-r) % mod.d))
+
+
+def point_index(mod: Modulus, point: Point):
+    """Position of a point, column-major with the reference column first; fields may be arrays."""
     check_point(mod, point)
     return (point.b + 1) * mod.d + point.m
 
 
-def line_index(mod: Modulus, line: Line) -> int:
-    """Position of a line in the lexicographic (m_minus1, m0) enumeration."""
+def line_index(mod: Modulus, line: Line):
+    """Position of a line in the lexicographic (m_minus1, m0) enumeration; fields may be arrays."""
     check_line(mod, line)
     return line.m_minus1 * mod.d + line.m0
 
 
-def _label_array(labels) -> np.ndarray:
-    """A sequence of two-field labels as a (2, len) integer array, one row per field."""
-    return np.fromiter(chain.from_iterable(labels), dtype=np.int64).reshape(-1, 2).T
-
-
-def _point_indices(mod: Modulus, points) -> np.ndarray:
-    """point_index of each point in a sequence, as one integer array."""
-    m, b = _label_array(points)
-    bad = (m < 0) | (m >= mod.d) | (b < CB_COLUMN) | (b >= mod.d)
-    if bad.any():
-        check_point(mod, Point(*points[int(np.argmax(bad))]))
-    return (b + 1) * mod.d + m
-
-
-def _line_indices(mod: Modulus, lines) -> np.ndarray:
-    """line_index of each line (or affine point read as one) in a sequence, as one array."""
-    a, m0 = _label_array(lines)
-    bad = (a < 0) | (a >= mod.d) | (m0 < 0) | (m0 >= mod.d)
-    if bad.any():
-        check_line(mod, Line(*lines[int(np.argmax(bad))]))
-    return a * mod.d + m0
-
-
-def _scatter(rows: int, groups, indices) -> np.ndarray:
-    """0/1 float matrix whose column k is 1 at indices(groups[k]), in one scatter."""
-    at = indices([x for g in groups for x in g])
-    out = np.zeros((rows, len(groups)))
-    out[at, np.repeat(np.arange(len(groups)), [len(g) for g in groups])] = 1.0
-    return out
-
-
 def incidence_matrix(mod: Modulus) -> np.ndarray:
-    """The dual plane's incidence matrix N, built from line_points.
+    """The dual plane's incidence matrix N, read off the points of every line at once.
 
     N[point_index, line_index] is 1 where the point lies on the line, else 0:
     d(d+1) rows, d^2 columns, float64 so that products count exactly.
     """
-    groups = [line_points(mod, line) for line in all_lines(mod)]
-    return _scatter(mod.d * (mod.d + 1), groups, lambda p: _point_indices(mod, p))
+    lines = np.arange(mod.d * mod.d)
+    n = np.zeros((mod.d * (mod.d + 1), len(lines)))
+    n[point_index(mod, _line_points(mod, *np.divmod(lines, mod.d))), lines[:, None]] = 1.0
+    return n
 
 
 def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
-    """The affine plane's incidence matrix M, built from apg_line_points.
+    """The affine plane's incidence matrix M, read off the points of every affine line at once.
 
     M[a, k] is 1 where affine point a lies on the k-th line of apg_lines: d^2
     rows, d(d+1) columns, float64. Row a = xi*d + eta follows apg_points, which
     is also the line_index of the dual-plane line that the point labels.
     """
-    groups = [apg_line_points(mod, apg_line) for apg_line in apg_lines(mod)]
-    return _scatter(mod.d * mod.d, groups, lambda p: _line_indices(mod, p))
+    r, s = _apg_line_labels(mod)
+    m = np.zeros((mod.d * mod.d, len(r)))
+    m[line_index(mod, Line(*_apg_line_points(mod, r, s))), np.arange(len(r))[:, None]] = 1.0
+    return m
 
 
 def _distinct_columns(gram: np.ndarray) -> int:
@@ -242,6 +260,11 @@ def _distinct_columns(gram: np.ndarray) -> int:
     size = np.diag(gram)
     same = (gram == size[:, None]) & (gram == size[None, :])
     return len(gram) - int(np.triu(same, 1).any(axis=0).sum())
+
+
+def _sorted_points(mod: Modulus, indices) -> list[Point]:
+    points = all_points(mod)
+    return sorted(points[i] for i in indices)
 
 
 def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
@@ -255,50 +278,52 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     Read off N: N^T N = dI + J; N N^T is 1 across columns, 0 within one.
     """
     d = mod.d
-    lines = all_lines(mod)
-    points = all_points(mod)
     n = incidence_matrix(mod)
     meet = n.T @ n
     join = n @ n.T
-    column = np.arange(len(points)) // d
+    column, row = np.divmod(np.arange(len(n)), d)  # point i is (row, column - 1)
     pairs = np.triu(np.ones(join.shape, dtype=bool), 1)
     same = pairs & (column[:, None] == column[None, :])
     cross = pairs & (column[:, None] != column[None, :])
 
+    def point(i: int) -> str:
+        return format_point(all_points(mod)[i])
+
     def two_points(i: int, j: int) -> str:
-        return f"points {format_point(points[i])} and {format_point(points[j])}"
+        return f"points {point(i)} and {point(j)}"
+
+    def line(j: int) -> str:
+        return format_line(all_lines(mod)[j])
 
     distinct = _distinct_columns(meet)
-    ok_counts = len(lines) == d * d and len(points) == d * (d + 1) and distinct == d * d
-
-    groups = [lines_through_point(mod, p) for p in points]
-    pencils = _scatter(len(lines), groups, lambda ln: _line_indices(mod, ln)).T
+    ok_counts = distinct == d * d
+    pencils = np.zeros_like(n)
+    pencils[np.arange(len(n))[:, None], line_index(mod, _pencil(mod, row, column - 1))] = 1.0
     bad_degree = witness(
         (pencils != n).any(axis=1) | (pencils.sum(axis=1) != d),
-        lambda i: f"point {format_point(points[i])} lies on {int(n[i].sum())} lines",
+        lambda i: f"point {point(i)} lies on {int(n[i].sum())} lines",
     )
     profile = n.reshape(d + 1, d, -1).sum(axis=1).astype(int)
     bad_degree = bad_degree or witness(
         (profile != 1).any(axis=0),
-        lambda j: f"line {format_line(lines[j])} has column profile"
+        lambda j: f"line {line(j)} has column profile"
         f" {np.repeat(np.arange(CB_COLUMN, d), profile[:, j]).tolist()}",
     )
 
-    members = _point_indices(mod, [p for b in range(CB_COLUMN, d) for p in parallel_class(mod, b)])
-    ok_part = (np.bincount(members, minlength=len(points)) == 1).all()
+    members = point_index(mod, _parallel_class(mod, np.arange(CB_COLUMN, d)))
+    ok_part = (np.bincount(members.ravel(), minlength=len(n)) == 1).all()
     bad_part = witness(
         same & (join != 0),
-        lambda i, j: f"{two_points(i, j)} of column {points[i].b} share {int(join[i, j])} lines",
+        lambda i, j: f"{two_points(i, j)} of column {column[i] - 1} share {int(join[i, j])} lines",
     ) or ("" if ok_part else "columns do not partition the point set")
 
     return AxiomReport.from_findings(
         d,
         {
-            "dapg.counts": "" if ok_counts else f"{distinct} distinct lines, {len(points)} points",
+            "dapg.counts": "" if ok_counts else f"{distinct} distinct lines, {len(n)} points",
             "dapg.lines_meet_once": witness(
                 np.triu(meet != 1, 1),
-                lambda i, j: f"lines {format_line(lines[i])} and {format_line(lines[j])}"
-                f" share {int(meet[i, j])} points",
+                lambda i, j: f"lines {line(i)} and {line(j)} share {int(meet[i, j])} points",
             ),
             "dapg.points_join_once": witness(
                 cross & (join != 1),
@@ -324,23 +349,24 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     M [M^T M = 0] is 1 off the line.
     """
     d = mod.d
-    lines = apg_lines(mod)
-    points = apg_points(mod)
+    labels = _apg_line_labels(mod)
+    slope = labels[0]  # d for the verticals
     m = apg_incidence_matrix(mod)
     join = m @ m.T
     meet = m.T @ m
     parallels = m @ (meet == 0)
-    slope = np.array([d if isinstance(line, VerticalLine) else line.r for line in lines])
     same_class = slope[:, None] == slope[None, :]
     sizes = np.bincount(slope)
     sizes = sizes[sizes > 0]
 
     def point(a: int) -> str:
-        return f"({points[a].xi},{points[a].eta})"
+        return f"({a // d},{a % d})"
+
+    def line(k: int) -> str:
+        return repr(_apg_line(mod, *labels[:, k]))
 
     ok_counts = (
-        len(points) == d * d
-        and len(lines) == d * (d + 1)
+        len(slope) == d * (d + 1)
         and _distinct_columns(meet) == d * (d + 1)
         and (m.sum(axis=0) == d).all()
     )
@@ -349,7 +375,7 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     else:
         bad_classes = witness(
             np.triu(same_class & (meet != 0), 1),
-            lambda k, l: f"parallel lines {lines[k]!r} and {lines[l]!r} intersect",
+            lambda k, l: f"parallel lines {line(k)} and {line(l)} intersect",
         )
     collinear = m[[0, d, 1]].all(axis=0).any()
 
@@ -363,12 +389,12 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
             ),
             "apg.parallel_postulate": witness(
                 ((m == 0) & (parallels != 1)).T,
-                lambda k, a: f"{int(parallels[a, k])} parallels to {lines[k]!r} through {point(a)}",
+                lambda k, a: f"{int(parallels[a, k])} parallels to {line(k)} through {point(a)}",
             ),
             "apg.parallel_classes": bad_classes,
             "apg.cross_class_meet_once": witness(
                 np.triu(~same_class & (meet != 1), 1),
-                lambda k, l: f"lines {lines[k]!r} and {lines[l]!r} of different classes"
+                lambda k, l: f"lines {line(k)} and {line(l)} of different classes"
                 f" share {int(meet[k, l])} points",
             ),
             "apg.non_collinear_triple": "(0,0),(1,0),(0,1) collinear" if collinear else "",
@@ -386,25 +412,27 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     point maps exactly onto the point set of its dual line.
     """
     d = mod.d
-    lines = apg_lines(mod)
-    points = all_points(mod)
+    labels = _apg_line_labels(mod)
     n = incidence_matrix(mod)
     m = apg_incidence_matrix(mod)
-    mapped = [duality_common_point(mod, apg_line) for apg_line in lines]
-    pi = _scatter(len(points), [(p,) for p in mapped], lambda p: _point_indices(mod, p))
+    common = _common_point(mod, *labels)
+    at = point_index(mod, common)
+    pi = np.zeros((len(n), len(at)))
+    pi[at, np.arange(len(at))] = 1.0
     # row a of M is dual line a, so (N M)[p, k] counts the lines of pencil k through p;
     # column k must reach its full count at the k-th common point alone
     full = n @ m == m.sum(axis=0)
     bad_pencil = witness(
         (full != (pi > 0)).any(axis=0),
-        lambda k: f"pencil of {lines[k]!r} shares"
-        f" {sorted(points[i] for i in np.flatnonzero(full[:, k]))}",
+        lambda k: f"pencil of {_apg_line(mod, *labels[:, k])!r} shares"
+        f" {_sorted_points(mod, np.flatnonzero(full[:, k]))}",
     )
 
-    if len(set(mapped)) != d * (d + 1):
-        bad_bijection = f"{len(set(mapped))} distinct common points, expected {d * (d + 1)}"
+    distinct = np.count_nonzero(np.bincount(at))
+    if distinct != d * (d + 1):
+        bad_bijection = f"{distinct} distinct common points, expected {d * (d + 1)}"
     else:
-        columns = np.array([p.b for p in mapped]).reshape(d + 1, d)
+        columns = common.b.reshape(d + 1, d)
         expected = np.array([(-r) % d for r in range(d)] + [CB_COLUMN])
         bad_bijection = witness(
             (columns != expected[:, None]).any(axis=1),
@@ -416,7 +444,7 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     bad_roundtrip = witness(
         (image != (n > 0)).any(axis=0),
         lambda a: f"pencil through ({a // d},{a % d}) maps onto"
-        f" {sorted(points[i] for i in np.flatnonzero(image[:, a]))}",
+        f" {_sorted_points(mod, np.flatnonzero(image[:, a]))}",
     )
 
     return AxiomReport.from_findings(

@@ -37,20 +37,24 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
     d = mod.d
     if not (CB_COLUMN <= b < d and 0 <= m < d):
         raise ValueError(f"invalid state label (m={m}, b={b}) for d={d}")
-    if b == CB_COLUMN:
-        v = np.zeros(d, dtype=complex)
-        v[m] = 1.0
-        return v
-    hb = mod.half(b)
-    scale = 1.0 / math.sqrt(d)
+    return _states(mod, m, b)
+
+
+def _states(mod: Modulus, m, b) -> np.ndarray:
+    """mub_state over label arrays (m, b): one amplitude vector per label, on the last axis."""
+    d = mod.d
     n = np.arange(d)
-    return np.array([w * scale for w in roots_of_unity(d)])[(hb * (n * (n - 1) % d) - n * m) % d]
+    m, b = np.expand_dims(m, -1), np.expand_dims(b, -1)
+    scale = 1.0 / math.sqrt(d)
+    table = np.array([w * scale for w in roots_of_unity(d)])
+    chirp = table[(mod.half(b) * (n * (n - 1) % d) - n * m) % d]
+    return np.where(b == CB_COLUMN, n == m, chirp)
 
 
 @lru_cache(maxsize=None)
 def mub_family(mod: Modulus) -> np.ndarray:
     """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m]."""
-    states = [[mub_state(mod, b, m) for m in range(mod.d)] for b in range(CB_COLUMN, mod.d)]
+    states = _states(mod, np.arange(mod.d), np.arange(CB_COLUMN, mod.d)[:, None])  # [b+1, m, n]
     family = np.ascontiguousarray(np.swapaxes(states, 1, 2))
     family.setflags(write=False)
     return family

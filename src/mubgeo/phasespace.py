@@ -107,6 +107,14 @@ def _scale(b: np.ndarray) -> float:
     return max(1.0, float(np.hypot.reduce(np.abs(b), axis=None)))
 
 
+def _check_hermitian(b: np.ndarray, tol: float, what: str) -> None:
+    defect, (i, j) = hermiticity_defect(b)
+    if defect > tol:
+        raise NonHermitianInputError(
+            f"{what} is not Hermitian within {tol:g}: max asymmetry {defect:.3e} at entry ({i},{j})"
+        )
+
+
 def _real(vals: np.ndarray, b: np.ndarray, tol: float, what: str) -> np.ndarray:
     """vals.real, once their imaginary residue is within d * max(tol, 4 * 2^-52 * max(1, |B|_F))."""
     worst = float(np.abs(vals.imag).max())
@@ -130,12 +138,7 @@ def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistrib
     """
     b = as_square_matrix(matrix, mod.d)
     tol = eps * _scale(b)
-    defect, (i, j) = hermiticity_defect(b)
-    if defect > tol:
-        raise NonHermitianInputError(
-            f"input is not Hermitian within {tol:g}:"
-            f" max asymmetry {defect:.3e} at entry ({i},{j})"
-        )
+    _check_hermitian(b, tol, "input")
     return QuasiDistribution(mod, _real(_line_coefficients(b), b, tol, "coefficients"))
 
 
@@ -165,12 +168,7 @@ def validate_density_matrix(
 ) -> np.ndarray:
     """Require a Hermitian trace-one matrix; optionally require it PSD as well."""
     rho = as_square_matrix(matrix, mod.d)
-    defect, (i, j) = hermiticity_defect(rho)
-    if defect > eps:
-        raise NonHermitianInputError(
-            f"state is not Hermitian within {eps:g}:"
-            f" max asymmetry {defect:.3e} at entry ({i},{j})"
-        )
+    _check_hermitian(rho, eps, "state")
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > mod.d * eps:
         raise ValueError(f"state must have unit trace, got {trace:.12g}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_density
 
-from mubgeo import cli
+from mubgeo import cli, mub
 from mubgeo.core import Modulus
 from mubgeo.io import (
     matrix_to_json,
@@ -156,6 +156,63 @@ def test_verify_peak_estimate_covers_the_measured_peak():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(19, "all")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["verify", "--scope", "mub", "--d", "3"], "verify --scope mub at d=3"),
+        (["show", "operator", "--d", "3", "--j", "1,2"], "show operator at d=3"),
+        (["show", "operator", "--d", "3", "--alpha", "1,2"], "show operator at d=3"),
+    ],
+)
+def test_a_peak_beyond_physical_memory_is_refused(monkeypatch, capsys, argv, what):
+    # 4 pages of 4 KiB: every estimate exceeds it
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: 4 if name == "SC_PHYS_PAGES" else 4096)
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {what} needs about 0.1 GiB, more than the 0.0 GiB")
+
+
+def test_show_operator_peak_estimate_covers_the_measured_peak():
+    # the point rule at a column b >= 0 is the largest show operator
+    code = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'mubgeo', 'show', 'operator', '--d', '1009']\n"
+        "subprocess.run(argv + ['--alpha', '1,2'], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) * 1024 <= cli._operator_peak_bytes(1009)
+
+
+# the per-label views of the array rules; verify must evaluate the rules over arrays
+PER_LABEL = [
+    "line_points",
+    "lines_through_point",
+    "apg_line_points",
+    "duality_common_point",
+    "point_operator_direct",
+    "line_operator_direct",
+    "mub_state",
+]
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_verify_calls_no_per_label_function(monkeypatch, capsys, d):
+    def refuse(*args):
+        raise AssertionError("verify evaluated a rule one label at a time")
+
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "mubgeo"]
+    for module in modules:
+        for name in PER_LABEL:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    mub.mub_family.cache_clear()
+    assert cli.main(["verify", "--scope", "all", "--d", str(d)]) == 0
+    assert "33/33 checks passed" in capsys.readouterr().err
 
 
 def test_verify_does_not_import_numpy_ma():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from faults import inject, replace_with
 
 from mubgeo import geometry
 from mubgeo.core import Modulus
@@ -219,17 +220,34 @@ def test_report_json_schema():
 MOD5 = Modulus(5)
 
 
+# the label type of the entries of each array rule's answer
+ENTRY = {
+    "_line_points": Point,
+    "_pencil": Line,
+    "_parallel_class": Point,
+    "_apg_line_points": ApgPoint,
+    "_common_point": Point,
+}
+
+
+def _fields(label):
+    """The fields an array rule takes for a label; an affine line is (r, s), r = d for xi = s."""
+    if isinstance(label, VerticalLine):
+        return (MOD5.d, label.xi)
+    if isinstance(label, SlopedLine):
+        return (label.r, label.s)
+    return tuple(label) if isinstance(label, tuple) else (label,)
+
+
 def _corrupt(monkeypatch, rule, target, index, fix):
-    """Make geometry.<rule>(mod, target) answer with entry `index` replaced by fix(entry)."""
-    original = getattr(geometry, rule)
+    """Make geometry.<rule> answer for target with entry `index` replaced by fix(entry)."""
 
-    def faulty(mod, label):
-        out = original(mod, label)
-        if label != target:
-            return out
-        return out[:index] + (fix(out[index]),) + out[index + 1 :]
+    def edit(answer):
+        entry = fix(ENTRY[rule](*(int(f[index]) for f in answer)))
+        for f, value in zip(answer, entry):
+            f[index] = value
 
-    monkeypatch.setattr(geometry, rule, faulty)
+    inject(monkeypatch, geometry, rule, _fields(target), edit)
 
 
 def _failures(report):
@@ -249,7 +267,7 @@ def _next_m0(line):
 
 
 def test_line_points_fault_is_located(monkeypatch):
-    _corrupt(monkeypatch, "line_points", Line(1, 2), 1, _next_row)
+    _corrupt(monkeypatch, "_line_points", Line(1, 2), 1, _next_row)
     assert _failures(verify_dapg_axioms(MOD5)) == [
         ("dapg.lines_meet_once", "lines (0,2) and (1,2) share 0 points"),
         ("dapg.points_join_once", "points (1,-1) and (2,0) lie on 0 common lines"),
@@ -260,7 +278,7 @@ def test_line_points_fault_is_located(monkeypatch):
 
 
 def test_lines_through_point_fault_is_located(monkeypatch):
-    _corrupt(monkeypatch, "lines_through_point", Point(0, 2), 1, _next_m0)
+    _corrupt(monkeypatch, "_pencil", Point(0, 2), 1, _next_m0)
     assert _failures(verify_dapg_axioms(MOD5)) == [
         ("dapg.degrees", "point (0,2) lies on 5 lines")
     ]
@@ -268,7 +286,7 @@ def test_lines_through_point_fault_is_located(monkeypatch):
 
 
 def test_apg_line_points_fault_is_located(monkeypatch):
-    _corrupt(monkeypatch, "apg_line_points", SlopedLine(1, 1), 1, _next_eta)
+    _corrupt(monkeypatch, "_apg_line_points", SlopedLine(1, 1), 1, _next_eta)
     assert _failures(verify_apg_axioms(MOD5)) == [
         ("apg.unique_join", "points (0,1) and (1,2) lie on 0 lines"),
         ("apg.parallel_postulate", "2 parallels to SlopedLine(r=0, s=2) through (0,1)"),
@@ -286,7 +304,7 @@ def test_apg_line_points_fault_is_located(monkeypatch):
 
 
 def test_parallel_class_fault_is_located(monkeypatch):
-    _corrupt(monkeypatch, "parallel_class", 0, 0, _next_row)
+    _corrupt(monkeypatch, "_parallel_class", 0, 0, _next_row)
     assert _failures(verify_dapg_axioms(MOD5)) == [
         ("dapg.columns_partition", "columns do not partition the point set")
     ]
@@ -295,9 +313,9 @@ def test_parallel_class_fault_is_located(monkeypatch):
 @pytest.mark.parametrize(
     "rule, target, index, fix",
     [
-        ("line_points", Line(1, 2), 1, _next_row),
-        ("apg_line_points", SlopedLine(1, 1), 1, _next_eta),
-        ("apg_line_points", SlopedLine(0, 0), 0, _next_eta),
+        ("_line_points", Line(1, 2), 1, _next_row),
+        ("_apg_line_points", SlopedLine(1, 1), 1, _next_eta),
+        ("_apg_line_points", SlopedLine(0, 0), 0, _next_eta),
     ],
     ids=["dual_line", "affine_line", "first_affine_line"],
 )
@@ -322,13 +340,7 @@ def test_duality_reports_a_broken_pencil(monkeypatch, rule, target, index, fix):
     ids=["sloped", "vertical"],
 )
 def test_duality_common_point_fault_is_located(monkeypatch, target, fix, shares):
-    original = geometry.duality_common_point
-
-    def faulty(mod, apg_line):
-        common = original(mod, apg_line)
-        return fix(common) if apg_line == target else common
-
-    monkeypatch.setattr(geometry, "duality_common_point", faulty)
+    _corrupt(monkeypatch, "_common_point", target, (), fix)
     checks = {c.axiom: c for c in verify_duality(MOD5).checks}
     assert checks["duality.pencil_common_point"].counterexample == shares
     assert not any(c.ok for c in checks.values())
@@ -336,9 +348,8 @@ def test_duality_common_point_fault_is_located(monkeypatch, target, fix, shares)
 
 def test_duplicate_line_fails_the_counts(monkeypatch):
     # line (0,1) answers with the points of line (0,0)
-    original = geometry.line_points
-    twin = {Line(0, 1): Line(0, 0)}
-    monkeypatch.setattr(geometry, "line_points", lambda mod, ln: original(mod, twin.get(ln, ln)))
+    twin = geometry._line_points(MOD5, 0, 0)
+    inject(monkeypatch, geometry, "_line_points", (0, 1), replace_with(twin))
     assert _failures(verify_dapg_axioms(MOD5)) == [
         ("dapg.counts", "24 distinct lines, 30 points"),
         ("dapg.lines_meet_once", "lines (0,0) and (0,1) share 6 points"),
@@ -352,10 +363,10 @@ def test_column_profile_fault_is_located(monkeypatch):
     # lines (0,0) and (1,1) trade their points (0,0) and (4,1), and both pencils agree:
     # every point still lies on d lines, but each of the two lines misses a column
     p, q = Point(0, 0), Point(4, 1)
-    _corrupt(monkeypatch, "line_points", Line(0, 0), 1, lambda _: q)
-    _corrupt(monkeypatch, "line_points", Line(1, 1), 2, lambda _: p)
-    _corrupt(monkeypatch, "lines_through_point", p, 0, lambda _: Line(1, 1))
-    _corrupt(monkeypatch, "lines_through_point", q, 1, lambda _: Line(0, 0))
+    _corrupt(monkeypatch, "_line_points", Line(0, 0), 1, lambda _: q)
+    _corrupt(monkeypatch, "_line_points", Line(1, 1), 2, lambda _: p)
+    _corrupt(monkeypatch, "_pencil", p, 0, lambda _: Line(1, 1))
+    _corrupt(monkeypatch, "_pencil", q, 1, lambda _: Line(0, 0))
     assert _failures(verify_dapg_axioms(MOD5)) == [
         ("dapg.lines_meet_once", "lines (0,0) and (0,2) share 2 points"),
         ("dapg.points_join_once", "points (0,-1) and (0,0) lie on 0 common lines"),
@@ -367,10 +378,11 @@ def test_column_profile_fault_is_located(monkeypatch):
 
 def test_class_size_fault_is_located(monkeypatch):
     # apg_lines lists SlopedLine(1, 0) twice and SlopedLine(0, 0) not at all
-    original = geometry.apg_lines
-    monkeypatch.setattr(
-        geometry, "apg_lines", lambda mod: (SlopedLine(1, 0),) + original(mod)[1:]
-    )
+
+    def first_is_1_0(answer):
+        answer[0][:, 0] = (1, 0)
+
+    inject(monkeypatch, geometry, "_apg_line_labels", (), first_is_1_0)
     assert _failures(verify_apg_axioms(MOD5)) == [
         ("apg.counts", "wrong point/line counts"),
         ("apg.unique_join", "points (0,0) and (1,0) lie on 0 lines"),
@@ -381,7 +393,7 @@ def test_class_size_fault_is_located(monkeypatch):
 
 def test_collinear_triple_is_found(monkeypatch):
     # the line eta = 0 holds (0,1) in place of (2,0), so it covers (0,0), (1,0) and (0,1)
-    _corrupt(monkeypatch, "apg_line_points", SlopedLine(0, 0), 2, lambda _: ApgPoint(0, 1))
+    _corrupt(monkeypatch, "_apg_line_points", SlopedLine(0, 0), 2, lambda _: ApgPoint(0, 1))
     assert _failures(verify_apg_axioms(MOD5)) == [
         ("apg.unique_join", "points (0,0) and (0,1) lie on 2 lines"),
         ("apg.parallel_postulate", "2 parallels to SlopedLine(r=0, s=0) through (0,2)"),
@@ -401,11 +413,9 @@ def test_collinear_triple_is_found(monkeypatch):
 def test_class_to_column_fault_is_located(monkeypatch):
     # the common points of SlopedLine(1, 0) and SlopedLine(2, 0) trade places: still a
     # bijection, but slopes 1 and 2 each reach two columns
-    original = geometry.duality_common_point
-    trade = {SlopedLine(1, 0): SlopedLine(2, 0), SlopedLine(2, 0): SlopedLine(1, 0)}
-    monkeypatch.setattr(
-        geometry, "duality_common_point", lambda mod, line: original(mod, trade.get(line, line))
-    )
+    one, two = (geometry._common_point(MOD5, r, 0) for r in (1, 2))
+    inject(monkeypatch, geometry, "_common_point", (1, 0), replace_with(two))
+    inject(monkeypatch, geometry, "_common_point", (2, 0), replace_with(one))
     assert _failures(verify_duality(MOD5)) == [
         ("duality.pencil_common_point", "pencil of SlopedLine(r=1, s=0) shares [Point(m=3, b=4)]"),
         ("duality.class_to_column_bijection", "slope 1 maps to columns [3, 4]"),
@@ -415,3 +425,25 @@ def test_class_to_column_fault_is_located(monkeypatch):
             " Point(m=1, b=0), Point(m=1, b=3), Point(m=2, b=2), Point(m=4, b=1)]",
         ),
     ]
+
+
+@pytest.mark.parametrize(
+    "rule, targets, index, bad, message",
+    [
+        ("_line_points", [Line(1, 2), Line(3, 3)], 1, Point(5, 0), "point label (5,0)"),
+        ("_pencil", [Point(0, 2), Point(4, 3)], 1, Line(0, -1), "line label (0,-1)"),
+        ("_parallel_class", [0, 3], 2, Point(2, 5), "point label (2,5)"),
+        ("_apg_line_points", [SlopedLine(1, 1), VerticalLine(2)], 1, ApgPoint(1, 5), "line label (1,5)"),
+        ("_common_point", [SlopedLine(2, 0), VerticalLine(4)], (), Point(7, 0), "point label (7,0)"),
+    ],
+    ids=["line_points", "pencil", "parallel_class", "apg_line_points", "common_point"],
+)
+def test_out_of_range_answer_raises_the_label_error(monkeypatch, rule, targets, index, bad, message):
+    # two labels answer out of range; the error names the first, as check_point/check_line word it
+    for target, shift in zip(targets, (0, 1)):
+        moved = type(bad)(bad[0] + shift, bad[1])
+        _corrupt(monkeypatch, rule, target, index, lambda _, moved=moved: moved)
+    with pytest.raises(ValueError) as error:
+        for verify in (verify_dapg_axioms, verify_apg_axioms, verify_duality):
+            verify(MOD5)
+    assert str(error.value) == f"invalid {message} for d=5"

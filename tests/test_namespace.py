@@ -7,7 +7,14 @@ from mubgeo import core, errors, geometry, mub, operators, phasespace
 DELETED = {
     core.Modulus: ["reduce", "inverse"],
     errors: ["NoInverseError", "NoCommonPointError"],
-    geometry: ["check_apg_point", "incident", "line_to_apg_point", "apg_point_to_line"],
+    geometry: [
+        "check_apg_point",
+        "check_apg_line",
+        "line_row",
+        "incident",
+        "line_to_apg_point",
+        "apg_point_to_line",
+    ],
     mub: ["MubFamily", "basis_matrix"],
     operators: [
         "point_operator",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from faults import inject, replace_with
 from oracle import (
     clifford_gates,
     line_operator_stack,
@@ -135,17 +136,20 @@ def test_direct_routes_equal_the_scalar_rule_exactly(d):
         assert np.array_equal(line_operator_direct(mod, line), _line_operator_by_entry(mod, line))
 
 
+# the array rule that each direct route is a one-label view of
+ARRAY_RULE = {
+    "point_operator_direct": "_point_operators",
+    "line_operator_direct": "_line_operators",
+}
+
+
 def _perturb(monkeypatch, rule, target):
     """Make operators.<rule>(mod, target) answer with entry (0, 0) moved by 1e-6."""
-    original = getattr(operators, rule)
 
-    def faulty(mod, label):
-        out = original(mod, label)
-        if label == target:
-            out[0, 0] += 1e-6
-        return out
+    def nudge(answer):
+        answer[0][0, 0] += 1e-6
 
-    monkeypatch.setattr(operators, rule, faulty)
+    inject(monkeypatch, operators, ARRAY_RULE[rule], target, nudge)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +171,26 @@ def test_route_check_locates_a_corrupted_direct_route(monkeypatch, rule, target,
     _perturb(monkeypatch, rule, target)
     report = verify_operator_identities(Modulus(5))
     assert [(c.axiom, c.counterexample) for c in report.checks if not c.ok] == [failure]
+
+
+def test_summed_identities_hold_at_a_tiny_eps():
+    # d*eps = 1.9e-13 is below the 2.2e-13 that op.line_sum rounds to at d = 19
+    report = verify_operator_identities(Modulus(19), eps=1e-14)
+    assert report.passed, [c for c in report.checks if not c.ok]
+
+
+@pytest.mark.parametrize(
+    "rule, target, failure",
+    [
+        ("point_operator_direct", Point(2, 1), "point routes at (2,1) deviates by 1.000e-06"),
+        ("line_operator_direct", Line(3, 1), "line routes at (3,1) deviates by 1.000e-06"),
+    ],
+    ids=["point", "line"],
+)
+def test_route_fault_fails_at_a_tiny_eps(monkeypatch, rule, target, failure):
+    _perturb(monkeypatch, rule, target)
+    report = verify_operator_identities(Modulus(5), eps=1e-14)
+    assert [c.counterexample for c in report.checks if not c.ok] == [failure]
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -237,21 +261,33 @@ def test_battery_reads_projectors_off_the_cached_bases(monkeypatch):
     assert report.passed, [c for c in report.checks if not c.ok]
 
 
-# Fault injection at d = 5: mub_family answers with one state of basis b = 2 changed. The
-# mub checks and the battery read the same array, so both see the fault.
+# Fault injection at d = 5: the chirp rule answers with state m = 2 of basis b = 2 changed, so
+# mub_family holds the fault. The mub checks and the battery read that array, so both see it.
 MOD5 = Modulus(5)
 
 
-def _scaled(family):
-    family[3][:, 2] *= 1 + 1e-6
+@pytest.fixture
+def fresh_family():
+    mub.mub_family.cache_clear()
+    yield
+    mub.mub_family.cache_clear()
 
 
-def _zeroed(family):
-    family[3][:, 2] = 0
+def _scaled(monkeypatch):
+    def scale(answer):
+        answer[0] *= 1 + 1e-6
+
+    inject(monkeypatch, mub, "_states", (2, 2), scale)
 
 
-def _swapped(family):
-    family[3][:, [1, 2]] = family[3][:, [2, 1]]
+def _zeroed(monkeypatch):
+    inject(monkeypatch, mub, "_states", (2, 2), replace_with(np.zeros(5)))
+
+
+def _swapped(monkeypatch):
+    one, two = mub._states(MOD5, 1, 2), mub._states(MOD5, 2, 2)
+    inject(monkeypatch, mub, "_states", (1, 2), replace_with(two))
+    inject(monkeypatch, mub, "_states", (2, 2), replace_with(one))
 
 
 @pytest.mark.parametrize(
@@ -310,11 +346,8 @@ def _swapped(family):
     ],
     ids=["scaled", "zeroed", "swapped"],
 )
-def test_faulted_basis_state_is_located(monkeypatch, fault, failures):
-    family = mub.mub_family(MOD5).copy()
-    fault(family)
-    for module in (mub, operators):
-        monkeypatch.setattr(module, "mub_family", lambda mod: family)
+def test_faulted_basis_state_is_located(monkeypatch, fresh_family, fault, failures):
+    fault(monkeypatch)
     reports = [
         mub.verify_eigenrelation(MOD5),
         mub.verify_unbiasedness(MOD5),

@@ -310,8 +310,11 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
         (operators, "mub_family"),
         (operators, "point_operator_direct"),
         (operators, "line_operator_direct"),
+        (operators, "_point_operators"),
+        (operators, "_line_operators"),
         (mub, "mub_state"),
         (mub, "mub_family"),
+        (mub, "_states"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     mod = Modulus(11)
