@@ -40,13 +40,20 @@ def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
 
 
 def _point_operators(mod: Modulus, m, b) -> np.ndarray:
-    """point_operator_direct over label arrays: one d x d matrix per label, on the last two axes."""
+    """point_operator_direct over label arrays: one d x d matrix per label, on the last two axes.
+
+    The phase rule is evaluated only for the labels with b >= 0.
+    """
     d = mod.d
-    n, n2 = np.indices((d, d))
-    m, b = np.expand_dims(m, (-2, -1)), np.expand_dims(b, (-2, -1))
-    s = (n - n2) * (mod.half(b) * (n + n2 - 1) - m) % d
-    table = np.array([w / d for w in roots_of_unity(d)])
-    return np.where(b == CB_COLUMN, (n == n2) & (n == m), table[s])
+    shape = np.broadcast_shapes(np.shape(m), np.shape(b))
+    m, b = (np.broadcast_to(x, shape).ravel() for x in (m, b))
+    ref = b == CB_COLUMN
+    out = np.zeros((len(m), d, d), dtype=complex)
+    out[ref, m[ref], m[ref]] = 1  # the reference column: the diagonal unit at (m, m)
+    n, n2 = np.arange(d)[:, None], np.arange(d)
+    s = (n - n2) * (mod.half(b[~ref, None, None]) * (n + n2 - 1) - m[~ref, None, None]) % d
+    out[~ref] = np.array([w / d for w in roots_of_unity(d)])[s]
+    return out.reshape(shape + (d, d))
 
 
 def line_operator_direct(mod: Modulus, line: Line) -> np.ndarray:
