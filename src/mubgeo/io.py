@@ -79,24 +79,21 @@ def parse_matrix_json(text: str) -> np.ndarray:
 
 
 def quasi_to_csv(quasi: QuasiDistribution) -> str:
-    """One row per line label, lexicographic in (m_minus1, m0)."""
-    rows = [QUASI_HEADER]
-    d = quasi.mod.d
-    for a in range(d):
-        for b in range(d):
-            rows.append(f"{a},{b},{format_float(quasi.values[a, b])}")
-    return "\n".join(rows) + "\n"
+    """One row per line label, lexicographic in (m_minus1, m0); formatted one m_minus1 at a time."""
+    blocks = [QUASI_HEADER + "\n"]
+    for a, row in enumerate(quasi.values):
+        blocks.append("".join(f"{a},{b},{format_float(v)}\n" for b, v in enumerate(row.tolist())))
+    return "".join(blocks)
 
 
 def quasi_to_json(quasi: QuasiDistribution) -> str:
     """Same content as the CSV, as a JSON object with a values array."""
-    d = quasi.mod.d
-    entries = ",\n".join(
-        f'    {{"m_minus1": {a}, "m0": {b}, "value": {format_float(quasi.values[a, b])}}}'
-        for a in range(d)
-        for b in range(d)
-    )
-    return "{\n" + f'  "d": {d},\n' + '  "values": [\n' + entries + "\n  ]\n}\n"
+    blocks = ["{\n" + f'  "d": {quasi.mod.d},\n' + '  "values": [\n']
+    for a, row in enumerate(quasi.values):
+        entries = (f'    {{"m_minus1": {a}, "m0": {b}, "value": {format_float(v)}}}' for b, v in enumerate(row.tolist()))
+        blocks.append((",\n" if a else "") + ",\n".join(entries))
+    blocks.append("\n  ]\n}\n")
+    return "".join(blocks)
 
 
 def _split_csv(text: str, header: str, label: str) -> list[list[str]]:
