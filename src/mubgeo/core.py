@@ -81,7 +81,7 @@ def as_square_matrix(values, expected_d: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a {expected_d}x{expected_d} matrix, got {m.shape[0]}x{m.shape[1]}"
         )
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 

@@ -79,7 +79,10 @@ def parse_matrix_json(text: str) -> np.ndarray:
 
 
 def quasi_to_csv(quasi: QuasiDistribution) -> str:
-    """One row per line label, lexicographic in (m_minus1, m0); formatted one m_minus1 at a time."""
+    """One row per line label, lexicographic in (m_minus1, m0).
+
+    Each m_minus1 is formatted into one block, so no string per entry outlives its block.
+    """
     blocks = [QUASI_HEADER + "\n"]
     for a, row in enumerate(quasi.values):
         blocks.append("".join(f"{a},{b},{format_float(v)}\n" for b, v in enumerate(row.tolist())))
@@ -90,8 +93,11 @@ def quasi_to_json(quasi: QuasiDistribution) -> str:
     """Same content as the CSV, as a JSON object with a values array."""
     blocks = ["{\n" + f'  "d": {quasi.mod.d},\n' + '  "values": [\n']
     for a, row in enumerate(quasi.values):
-        entries = (f'    {{"m_minus1": {a}, "m0": {b}, "value": {format_float(v)}}}' for b, v in enumerate(row.tolist()))
-        blocks.append((",\n" if a else "") + ",\n".join(entries))
+        entries = ",\n".join(
+            f'    {{"m_minus1": {a}, "m0": {b}, "value": {format_float(v)}}}'
+            for b, v in enumerate(row.tolist())
+        )
+        blocks.append((",\n" if a else "") + entries)
     blocks.append("\n  ]\n}\n")
     return "".join(blocks)
 

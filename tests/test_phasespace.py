@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian_trace_one
+import oracle
 from oracle import point_operator
 
 from mubgeo import mub, operators, phasespace
@@ -323,3 +324,57 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
     reconstruct(quasi)
     pair_expectation(quasi, quasi)
     quasi_from_probabilities(probabilities_from_state(mod, rho))
+
+
+CACHED_TABLES = (phasespace._line_tables, phasespace._slices, phasespace._reconstruct_index)
+
+
+def _chain(mod, rho):
+    quasi = map_operator(mod, rho)
+    reconstruct(quasi)
+    quasi_from_probabilities(probabilities_from_state(mod, rho))
+
+
+def test_warm_chain_builds_no_table(rng):
+    mod = Modulus(31)
+    _chain(mod, random_density(rng, 31))
+    misses = [cache.cache_info().misses for cache in CACHED_TABLES]
+    _chain(mod, random_density(rng, 31))
+    assert [cache.cache_info().misses for cache in CACHED_TABLES] == misses
+
+
+def test_tables_are_held_for_the_last_four_d_only():
+    for d in (3, 5, 7, 11, 13):
+        _chain(Modulus(d), np.eye(d) / d)
+    assert [cache.cache_info().currsize for cache in CACHED_TABLES] == [4, 4, 4]
+
+
+def test_cached_tables_are_read_only():
+    mod = Modulus(5)
+    _chain(mod, np.eye(5) / 5)
+    tables = [*phasespace._line_tables(5), *phasespace._slices(mod)]
+    tables.append(phasespace._reconstruct_index(mod))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+
+
+def _same_bits(x, y):
+    """Equal shapes and equal bytes: float views compared as integers, so -0.0 differs from 0.0."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [3, 5, 31])
+def test_kernels_equal_the_per_call_tables_bit_for_bit(rng, d):
+    mod = Modulus(d)
+    rho = random_density(rng, d)
+    matrix = random_hermitian_trace_one(rng, d)
+    assert _same_bits(phasespace._line_coefficients(rho), oracle.line_coefficients(rho))
+    quasi = map_operator(mod, matrix)
+    assert _same_bits(quasi.values, oracle.line_coefficients(matrix).real)
+    assert _same_bits(reconstruct(quasi), oracle.reconstruct(quasi.values, mod))
+    probs = probabilities_from_state(mod, rho)
+    assert _same_bits(probs.values, oracle.probabilities(mod, rho))
+    tomo = quasi_from_probabilities(probs)
+    assert _same_bits(tomo.values, oracle.quasi_from_probabilities(probs.values, mod))
