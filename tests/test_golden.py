@@ -90,10 +90,16 @@ def record(group: list[list[str]]) -> dict:
     return {" ".join(argv): run(argv) for argv in group}
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("inputs")
+    write_inputs(directory)
+    return directory
+
+
 @pytest.mark.parametrize("name", list(groups()))
-def test_output_matches_the_golden_digests(name, tmp_path, monkeypatch):
-    write_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
+def test_output_matches_the_golden_digests(name, inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
     golden = json.loads(GOLDEN.read_text())
     assert record(groups()[name]) == golden[name]
 
