@@ -64,18 +64,21 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
 
     Counted from the largest arrays alive at once: the geometry and duality
     checks hold about eight float (d(d+1))^2 meet, join and mask matrices; the
-    operator battery about twelve complex stacks and Grams of at most
-    (d(d+1))^2 entries; the mub checks about two copies of the d+1 complex
-    d x d bases. Scopes run one after another, so --scope all needs the largest,
-    plus 64 MB for the interpreter and numpy (~30 MB measured). Measured peaks
-    of --scope all: ~53 MB at d = 19, ~170 MB at d = 31, ~440 MB at d = 41.
+    operator battery about twenty-five complex arrays of d^3 entries, one block
+    of d labels each (the states, the line table and one block's operators,
+    route, square and anti-diagonals); the mub checks about two copies of the
+    d+1 complex d x d bases. Scopes run one after another, so --scope all
+    needs the largest, plus 64 MB for the interpreter and numpy (~30 MB
+    measured). Measured peaks of --scope all: ~38 MB at d = 19, ~73 MB at
+    d = 31; of --scope operators: ~38 MB at d = 31, ~57 MB at d = 47, ~286 MB
+    at d = 101 (~210 bytes per d^3 above the interpreter).
     """
     p2 = (d * (d + 1)) ** 2
     need = {
         "geometry": 64 * p2,
         "duality": 64 * p2,
         "mub": 32 * (d + 1) * d * d,
-        "operators": 192 * p2,
+        "operators": 400 * d**3,
     }
     return 64 * 2**20 + max(need.values() if scope == "all" else [need[scope]])
 
@@ -83,8 +86,11 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
 def _operator_peak_bytes(d: int) -> int:
     """An upper estimate, in bytes, of the peak memory of show operator at d: 64 MB + 160 d^2.
 
-    The point rule's phase tables, the matrix and its JSON text take ~117 bytes per entry:
-    wait4 peaks of show operator --alpha 1,2 were 50, 164 and 498 MiB at d = 401, 1009, 2003.
+    The JSON text of the matrix sets the peak, ~117 bytes per entry for a point
+    operator, whose entries all print 17 digits: wait4 peaks of show operator
+    --alpha 1,2 were 50, 164 and 498 MiB at d = 401, 1009, 2003 (--j 1,2: 33,
+    64 and 147 MiB). The point rule itself holds one int64 exponent table and
+    two complex matrices, ~153 MiB at d = 2003.
     """
     return 64 * 2**20 + 160 * d * d
 

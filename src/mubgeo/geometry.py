@@ -227,15 +227,20 @@ def line_index(mod: Modulus, line: Line):
     return line.m_minus1 * mod.d + line.m0
 
 
+def _line_point_index(mod: Modulus) -> np.ndarray:
+    """point_index of the points of every line, one _line_points call: [line_index, b + 1]."""
+    return point_index(mod, _line_points(mod, *np.divmod(np.arange(mod.d * mod.d), mod.d)))
+
+
 def incidence_matrix(mod: Modulus) -> np.ndarray:
     """The dual plane's incidence matrix N, read off the points of every line at once.
 
     N[point_index, line_index] is 1 where the point lies on the line, else 0:
     d(d+1) rows, d^2 columns, float64 so that products count exactly.
     """
-    lines = np.arange(mod.d * mod.d)
-    n = np.zeros((mod.d * (mod.d + 1), len(lines)))
-    n[point_index(mod, _line_points(mod, *np.divmod(lines, mod.d))), lines[:, None]] = 1.0
+    rows = _line_point_index(mod)
+    n = np.zeros((mod.d * (mod.d + 1), len(rows)))
+    n[rows, np.arange(len(rows))[:, None]] = 1.0
     return n
 
 

@@ -158,6 +158,28 @@ def test_verify_peak_estimate_covers_the_measured_peak():
     assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(19, "all")
 
 
+def test_verify_operators_estimate_covers_the_measured_peak():
+    code = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'mubgeo', 'verify', '--scope', 'operators', '--d', '31']\n"
+        "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(31, "operators")
+
+
+def test_operator_battery_at_d101_fits_in_2_gib(monkeypatch, capsys):
+    # the block battery is admitted; the geometry Grams of --scope all are not
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: 2**19 if name == "SC_PHYS_PAGES" else 4096)
+    monkeypatch.setattr(cli, "verify_operator_identities", lambda mod, eps: AxiomReport(mod.d, ()))
+    assert cli.main(["verify", "--scope", "operators", "--d", "101"]) == 0
+    assert cli.main(["verify", "--scope", "all", "--d", "101"]) == 2
+    err = capsys.readouterr().err
+    assert "error: verify --scope all at d=101 needs about 6.4 GiB, more than the 2.0 GiB" in err
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [

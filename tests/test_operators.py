@@ -1,13 +1,18 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from faults import inject, replace_with
 from oracle import (
     clifford_gates,
+    dense_operator_battery,
     line_operator_stack,
     line_operator_sum,
     point_operator,
     point_operator_stack,
 )
+from test_mutants import CATALOGUE, RULES, mutants
 
 from mubgeo import mub, operators
 from mubgeo.core import Modulus, omega_power
@@ -22,6 +27,7 @@ from mubgeo.geometry import (
 )
 from mubgeo.mub import mub_state
 from mubgeo.operators import (
+    _deviations,
     line_operator_direct,
     point_operator_direct,
     verify_operator_identities,
@@ -246,6 +252,53 @@ def test_identity_report_passes(d):
     assert "op.point_route_equality" in axioms
     assert "op.line_route_equality" in axioms
     assert "op.cross_term_distillation" in axioms
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_block_battery_agrees_with_the_dense_oracle(d):
+    # same names, verdicts and witnesses; each deviation within rounding of the exhaustive one,
+    # which bounds every derived term at a passing run (the routes agree to a few 2^-52)
+    mod = Modulus(d)
+    report, dense = dense_operator_battery(mod)
+    assert verify_operator_identities(mod) == report
+    assert report.passed
+    blocks = _deviations(mod, 1e-10)
+    assert [(name, tol) for name, _, tol in blocks] == [(name, tol) for name, _, tol in dense]
+    for (name, got, _), (_, want, _) in zip(blocks, dense):
+        assert abs(got - want) <= 16 * d * d * 2.0**-52, name
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_dense_oracle_reproduces_the_mutant_catalogue(d):
+    # the catalogue was recorded by the dense battery; the block battery must reproduce it too
+    catalogue = json.loads(CATALOGUE.read_text())
+    wrong = []
+    for name, rule, label, fix in mutants(d):
+        with pytest.MonkeyPatch.context() as mp:
+            inject(mp, RULES[rule][0], rule, label, fix)
+            mub.mub_family.cache_clear()
+            try:
+                report, _ = dense_operator_battery(Modulus(d))
+            finally:
+                mub.mub_family.cache_clear()
+        found = [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
+        if found != catalogue[name]:
+            wrong.append(name)
+    assert wrong == []
+
+
+def test_battery_holds_no_dense_stack():
+    # a passing run at d = 47 stays below the 76 MB of one d(d+1) x d x d complex stack
+    d = 47
+    mod = Modulus(d)
+    mub.mub_family(mod)
+    tracemalloc.start()
+    try:
+        assert verify_operator_identities(mod).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * (d + 1) * d * d
 
 
 def test_battery_reads_projectors_off_the_cached_bases(monkeypatch):
