@@ -92,11 +92,6 @@ def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1) @ b.transpose(0, 2, 1).reshape(len(b), -1).T
 
 
-def _columns_per_block(d: int) -> int:
-    """Columns (or m_minus1 groups) of d labels per block: one from d = 32 on, so O(d^3) entries."""
-    return max(1, 2**15 // d**3)
-
-
 def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
     """(check, deviation, tolerance) for every bound of the battery, in report order.
 
@@ -126,7 +121,7 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
     dft = np.array(roots_of_unity(d))[-2 * labels[:, None] * labels % d]  # [t, m0]
     incident = np.argsort(at, axis=None, kind="stable")  # entries of at by point
     incident_points = at.ravel()[incident]
-    step = _columns_per_block(d)
+    step = max(1, 2**15 // d**3)  # columns (or m_minus1) per block: one from d = 32 on
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
     columns = np.empty((d + 1, d, d), dtype=complex)
@@ -350,5 +345,5 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     failing = {name for name, dev, tol in deviations if not dev <= tol}
     findings = dict.fromkeys((name for name, _, _ in deviations), "")
     if failing:
-        findings.update(_witnesses(mod, eps, sorted(failing)))
+        findings.update(_witnesses(mod, eps, failing))
     return AxiomReport.from_findings(mod.d, findings)
