@@ -92,6 +92,11 @@ def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1) @ b.transpose(0, 2, 1).reshape(len(b), -1).T
 
 
+def _block(d: int) -> int:
+    """Labels per block: d (a column, or an m_minus1) from d = 32 on; below, up to 2^15 / d^2."""
+    return d * max(1, 2**15 // d**3)
+
+
 def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
     """(check, deviation, tolerance) for every bound of the battery, in report order.
 
@@ -121,7 +126,7 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
     dft = np.array(roots_of_unity(d))[-2 * labels[:, None] * labels % d]  # [t, m0]
     incident = np.argsort(at, axis=None, kind="stable")  # entries of at by point
     incident_points = at.ravel()[incident]
-    step = max(1, 2**15 // d**3)  # columns (or m_minus1) per block: one from d = 32 on
+    step = _block(d) // d  # columns, or m_minus1, per block
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
     columns = np.empty((d + 1, d, d), dtype=complex)
@@ -220,12 +225,13 @@ def _worst(devs: np.ndarray, tol: float, what: str, *names) -> str:
 
 
 def _worst_trace(a, b, expected, tol: float, what: str, row, col) -> str:
-    """_worst of |tr(a[i] @ b[j]) - expected(rows)[i, j]| over every pair, d rows at a time."""
-    d = a.shape[-1]
+    """_worst of |tr(a[i] @ b[j]) - expected(rows)[i, j]| over all pairs, by blocks of rows."""
     top, where = np.empty(len(a)), np.empty(len(a), dtype=int)
-    for i in range(0, len(a), d):
-        devs = np.abs(_trace_products(a[i : i + d], b) - expected(slice(i, i + d)))
-        top[i : i + d], where[i : i + d] = devs.max(axis=1), devs.argmax(axis=1)
+    step = _block(a.shape[-1])
+    for i in range(0, len(a), step):
+        rows = slice(i, min(i + step, len(a)))
+        devs = np.abs(_trace_products(a[rows], b) - expected(rows))
+        top[rows], where[rows] = devs.max(axis=1), devs.argmax(axis=1)
     i = int(np.argmax(top))
     if top[i] <= tol:
         return ""
@@ -239,7 +245,7 @@ def _witnesses(mod: Modulus, eps: float, names) -> dict[str, str]:
     witness names the first offending label and its deviation exactly as the
     exhaustive battery does. It holds the dense point and line stacks (the
     projectors A, and N^T A - I from the incidence matrix N) and forms each
-    Gram d rows at a time.
+    Gram one block of rows at a time.
     """
     d = mod.d
     n = incidence_matrix(mod)
@@ -277,13 +283,14 @@ def _witnesses(mod: Modulus, eps: float, names) -> dict[str, str]:
         what = "column b={} resolution deviates by {:.3e}"
         return witness(dev > tol, lambda c: what.format(c - 1, dev[c]))
 
-    def point_gram(rows: slice) -> np.ndarray:
-        expected = np.full((d, len(n)), 1.0 / d)
-        expected[:, rows] = eye
+    def point_gram(rows: slice) -> np.ndarray:  # rows start and end at column boundaries
+        expected = np.full((rows.stop - rows.start, len(n)), 1.0 / d)
+        for i in range(0, len(expected), d):  # a column against itself
+            expected[i : i + d, rows.start + i : rows.start + i + d] = eye
         return expected
 
     def line_gram(rows: slice) -> np.ndarray:
-        return d * np.eye(d, d * d, rows.start)
+        return d * np.eye(rows.stop - rows.start, d * d, rows.start)
 
     column, row = np.divmod(np.arange(len(n)), d)
     lines = np.divmod(np.arange(d * d), d)
