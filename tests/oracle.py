@@ -1,8 +1,8 @@
 """The per-label construction routes of the operators, and dense operator stacks.
 
 The package builds line operators from their anti-diagonal closed form, the
-battery's projectors in one broadcast over the bases, and the phase-space
-functions without building any operator. The tests hold these against slow
+battery's projectors and line operators block by block from the bases, and
+the phase-space functions without building any operator. The tests hold these against slow
 references: a point projector as the outer product of one state, a line
 operator as the sum of its d+1 incident projectors minus the identity, and
 every point and line operator stacked in point_index and line_index order.
@@ -18,6 +18,7 @@ rounding of these, wherever the two are compared.
 
 import numpy as np
 
+from mubgeo import operators
 from mubgeo.core import DEFAULT_EPS, roots_of_unity
 from mubgeo.geometry import (
     all_lines,
@@ -29,7 +30,6 @@ from mubgeo.geometry import (
     incidence_matrix,
     line_points,
 )
-from mubgeo import operators
 from mubgeo.mub import mub_family, mub_state
 from mubgeo.report import AxiomReport, witness
 
