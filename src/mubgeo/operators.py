@@ -216,34 +216,32 @@ def _over_lines(n: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _worst(devs: np.ndarray, tol: float, what: str, *names) -> str:
-    """The largest deviation, named by one function of the index per axis, if it exceeds tol."""
-    at = np.unravel_index(int(np.argmax(devs)), devs.shape)
-    if devs[at] <= tol:
-        return ""
-    labels = " vs ".join(name(int(i)) for name, i in zip(names, at))
-    return f"{what} {labels} deviates by {devs[at]:.3e}"
+    """The first deviation above tol in label order, named by one function of the index per axis."""
+    return witness(
+        devs > tol,
+        lambda *at: f"{what} {' vs '.join(name(i) for name, i in zip(names, at))}"
+        f" deviates by {devs[at]:.3e}",
+    )
 
 
 def _worst_trace(a, b, expected, tol: float, what: str, row, col) -> str:
     """_worst of |tr(a[i] @ b[j]) - expected(rows)[i, j]| over all pairs, by blocks of rows."""
-    top, where = np.empty(len(a)), np.empty(len(a), dtype=int)
     step = _block(a.shape[-1])
     for i in range(0, len(a), step):
         rows = slice(i, min(i + step, len(a)))
         devs = np.abs(_trace_products(a[rows], b) - expected(rows))
-        top[rows], where[rows] = devs.max(axis=1), devs.argmax(axis=1)
-    i = int(np.argmax(top))
-    if top[i] <= tol:
-        return ""
-    return f"{what} {row(i)} vs {col(int(where[i]))} deviates by {top[i]:.3e}"
+        found = _worst(devs, tol, what, lambda r: row(i + r), col)
+        if found:
+            return found
+    return ""
 
 
 def _witnesses(mod: Modulus, eps: float, names) -> dict[str, str]:
     """The witness of each named check by its exhaustive formula, or "" if it holds after all.
 
     verify runs this only for the checks its block sweeps failed, so that a
-    witness names the first offending label and its deviation exactly as the
-    exhaustive battery does. It holds the dense point and line stacks (the
+    witness names the first offending label in label order and its deviation
+    exactly as the exhaustive battery does. It holds the dense point and line stacks (the
     projectors A, and N^T A - I from the incidence matrix N) and forms each
     Gram one block of rows at a time.
     """

@@ -121,13 +121,13 @@ def _over_lines(n, stack):
     return (n.T @ stack.reshape(len(stack), -1).view(float)).view(complex).reshape(-1, d, d)
 
 
-def _worst(devs, tol, what, *names):
-    """The largest deviation, named by one function of the index per axis, if it exceeds tol."""
-    at = np.unravel_index(int(np.argmax(devs)), devs.shape)
-    if devs[at] <= tol:
-        return ""
-    labels = " vs ".join(name(int(i)) for name, i in zip(names, at))
-    return f"{what} {labels} deviates by {devs[at]:.3e}"
+def _first(devs, tol, what, *names):
+    """The first deviation above tol in label order, named by one function of the index per axis."""
+    return witness(
+        devs > tol,
+        lambda *at: f"{what} {' vs '.join(name(i) for name, i in zip(names, at))}"
+        f" deviates by {devs[at]:.3e}",
+    )
 
 
 def _trace_products(a, b):
@@ -167,17 +167,17 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
         return format_line(all_lines(mod)[j])
 
     dev = held("op.point_hermitian", each(a_stack - a_stack.conj().transpose(0, 2, 1)), eps)
-    findings["op.point_hermitian"] = _worst(dev, eps, "point operator", point)
+    findings["op.point_hermitian"] = _first(dev, eps, "point operator", point)
 
     dev = held("op.line_hermitian", each(p_stack - p_stack.conj().transpose(0, 2, 1)), eps)
-    findings["op.line_hermitian"] = _worst(dev, eps, "line operator", line)
+    findings["op.line_hermitian"] = _first(dev, eps, "line operator", line)
 
     a_sq = a_stack @ a_stack
     dev = held("op.point_projector", each(a_sq - a_stack), tol)
-    bad = _worst(dev, tol, "projector law for point", point)
+    bad = _first(dev, tol, "projector law for point", point)
     dev = held("op.point_projector", np.abs(a_stack.trace(axis1=1, axis2=2) - 1.0), eps)
     if not bad:
-        bad = _worst(dev, eps, "trace of point operator", point)
+        bad = _first(dev, eps, "trace of point operator", point)
     findings["op.point_projector"] = bad
 
     dev = each(a_stack.reshape(d + 1, d, d, d).sum(axis=1) - eye)
@@ -193,16 +193,16 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
     findings["op.line_sum"] = "" if dev <= tol else f"total deviates from dI by {dev:.3e}"
 
     dev = held("op.point_from_lines", each(_over_lines(n.T, p_stack) / d - a_stack), tol)
-    findings["op.point_from_lines"] = _worst(dev, tol, "line average at point", point)
+    findings["op.point_from_lines"] = _first(dev, tol, "line average at point", point)
 
     dev = held("op.line_trace", np.abs(p_stack.trace(axis1=1, axis2=2) - 1.0), tol)
-    findings["op.line_trace"] = _worst(dev, tol, "trace of line operator", line)
+    findings["op.line_trace"] = _first(dev, tol, "trace of line operator", line)
 
     dev = held("op.line_gram", np.abs(_trace_products(p_stack, p_stack) - d * np.eye(d * d)), tol)
-    findings["op.line_gram"] = _worst(dev, tol, "line gram", line, line)
+    findings["op.line_gram"] = _first(dev, tol, "line gram", line, line)
 
     dev = held("op.line_involution", each(p_stack @ p_stack - eye), tol)
-    findings["op.line_involution"] = _worst(dev, tol, "square of line operator", line)
+    findings["op.line_involution"] = _first(dev, tol, "square of line operator", line)
 
     s = p_stack + eye  # the sum of each line's projectors
     dev = held("op.cross_term_distillation", each(s @ s - _over_lines(n, a_sq) - s), tol)
@@ -213,18 +213,18 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
     column, row = np.divmod(np.arange(len(n)), d)
     dev = each(a_stack - operators._point_operators(mod, row, column - 1))
     held("op.point_route_equality", dev, eps)
-    findings["op.point_route_equality"] = _worst(dev, eps, "point routes at", point)
+    findings["op.point_route_equality"] = _first(dev, eps, "point routes at", point)
 
     dev = each(p_stack - operators._line_operators(mod, *np.divmod(np.arange(d * d), d)))
     held("op.line_route_equality", dev, eps)
-    findings["op.line_route_equality"] = _worst(dev, eps, "line routes at", line)
+    findings["op.line_route_equality"] = _first(dev, eps, "line routes at", line)
 
     same_column = np.kron(np.eye(d + 1), np.ones((d, d)))
     expected = (1.0 - same_column) / d + np.eye(len(n))
     dev = held("op.point_gram_cases", np.abs(_trace_products(a_stack, a_stack) - expected), tol)
-    findings["op.point_gram_cases"] = _worst(dev, tol, "point gram", point, point)
+    findings["op.point_gram_cases"] = _first(dev, tol, "point gram", point, point)
 
     dev = held("op.incidence_trace", np.abs(_trace_products(a_stack, p_stack) - n), tol)
-    findings["op.incidence_trace"] = _worst(dev, tol, "incidence trace", point, line)
+    findings["op.incidence_trace"] = _first(dev, tol, "incidence trace", point, line)
 
     return AxiomReport.from_findings(d, findings), deviations

@@ -17,11 +17,15 @@ enumerated whole, for every label:
 - conjugated: the whole answer of a state or an operator.
 
 mutants.json maps each mutant to the failing checks of the battery, each with
-its witness text, as recorded when the battery was the exhaustive one that
-tests/oracle.py keeps. Regenerate it only when a change of verdict or witness
-is intended, from the repository root:
+its witness text: the first offending label (or pair of labels) in label
+order, and its deviation. The dense battery of tests/oracle.py must give the
+same catalogue. Regenerate it only when a change of verdict or witness is
+intended, from the repository root:
 
     PYTHONPATH=src python tests/test_mutants.py
+
+Before it rewrites the file, it prints how many mutants' failing-check lists
+differ from the committed catalogue, and how many witness texts differ.
 """
 
 import json
@@ -167,6 +171,22 @@ def test_every_check_is_failed_by_some_mutant(catalogue):
     assert [c for c in checks if c not in failed] == list(UNFAILABLE)
 
 
+def changes(old: dict, new: dict) -> tuple[int, int, int]:
+    """Mutants whose failing checks differ; mutants, and texts, whose witness of a check failed in both differs."""
+    verdicts = mutants = texts = 0
+    for name in old.keys() | new.keys():
+        before, after = dict(old.get(name, [])), dict(new.get(name, []))
+        moved = sum(before[check] != after[check] for check in before.keys() & after.keys())
+        verdicts += list(before) != list(after)
+        mutants += moved > 0
+        texts += moved
+    return verdicts, mutants, texts
+
+
 if __name__ == "__main__":
-    rows = (f"{json.dumps(name)}: {json.dumps(found)}" for name, found in record().items())
+    found = record()
+    verdicts, mutants, texts = changes(json.loads(CATALOGUE.read_text()), found)
+    print(f"{verdicts} of {len(found)} mutants change their failing checks;")
+    print(f"{mutants} change the witness of a check failed before and after ({texts} texts)")
+    rows = (f"{json.dumps(name)}: {json.dumps(out)}" for name, out in found.items())
     CATALOGUE.write_text("{\n" + ",\n".join(rows) + "\n}\n")
