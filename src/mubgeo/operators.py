@@ -18,13 +18,10 @@ from .geometry import (
     Line,
     Point,
     _line_point_index,
-    all_lines,
-    all_points,
     check_line,
     check_point,
     format_line,
     format_point,
-    incidence_matrix,
 )
 from .mub import mub_family
 from .report import AxiomReport, witness
@@ -85,25 +82,49 @@ def _line_operators(mod: Modulus, m_minus1, m0) -> np.ndarray:
     return out
 
 
+def _blocks(total: int, d: int) -> list[slice]:
+    """Label blocks in order: a column or an m_minus1 of d labels; below d = 32, to 2^15 / d^2."""
+    size = d * max(1, 2**15 // d**3)
+    return [slice(i, min(i + size, total)) for i in range(0, total, size)]
 
 
-def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tr(a[i] @ b[j]) for every pair (i, j), as one matrix product."""
-    return a.reshape(len(a), -1) @ b.transpose(0, 2, 1).reshape(len(b), -1).T
+def _tables(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states by point_index, the point_index of each line's points, and which of them count.
+
+    A point counts once in its row [line_index, b + 1], in its first column, as in N.
+    """
+    states = mub_family(mod).transpose(0, 2, 1).reshape(-1, mod.d)
+    at = _line_point_index(mod)
+    order = np.argsort(at, axis=1, kind="stable")
+    first = np.ones(at.shape, dtype=bool)
+    np.put_along_axis(first, order[:, 1:], np.diff(np.take_along_axis(at, order, axis=1)) != 0, 1)
+    return states, at, first
 
 
-def _block(d: int) -> int:
-    """Labels per block: d (a column, or an m_minus1) from d = 32 on; below, up to 2^15 / d^2."""
-    return d * max(1, 2**15 // d**3)
+def _projectors(psi: np.ndarray) -> np.ndarray:
+    """The point operators psi psi^dagger of a block of states."""
+    return psi[:, :, None] * psi[:, None, :].conj()
 
 
-def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
-    """(check, deviation, tolerance) for every bound of the battery, in report order.
+def _line_sums(states: np.ndarray, at: np.ndarray, first: np.ndarray, block: slice) -> np.ndarray:
+    """The line operators of a block of lines: Psi^T conj(Psi) - I over the points that count."""
+    psi = states[at[block]]  # [line, point of the line, n]
+    psi[~first[block]] = 0
+    return psi.transpose(0, 2, 1) @ psi.conj() - np.eye(states.shape[1])
+
+
+def _each(stack: np.ndarray) -> np.ndarray:
+    """The largest entry of each operator of a stack."""
+    return np.abs(stack).max(axis=(1, 2))
+
+
+def _deviations(mod: Modulus, eps: float) -> list[tuple]:
+    """(check, deviation, tolerance, witness text, label kinds) per bound, in report order.
 
     A point block is a column b, a line block the d lines with one m_minus1
     (several of either while they hold under 2^15 entries); each holds O(d^3)
-    entries. Each line operator is built from the d+1 states on the line's
-    rows, as Psi^T conj(Psi) - I, and held to the anti-diagonal route in the
+    entries. Each line operator is built from the states of the points on its
+    row, as Psi^T conj(Psi) - I, and held to the anti-diagonal route in the
     same pass as its Hermiticity, trace, square and the running sum. The rest
     is read off that structure: tr(A_p A_q) = |<psi_p|psi_q>|^2,
     A_p^2 - A_p = (|psi_p|^2 - 1) A_p. Once the line routes agree to delta,
@@ -113,43 +134,41 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
     and the cross terms are the square's deviation plus the norms'. The line
     average at a point sums the column sums when the collinearity counts are
     those of the plane. op.point_projector has two bounds, law then trace.
+
+    The deviation is one per (p)oint, (l)ine or (c)olumn where the sweep measures the
+    check's own formula, else one number: a total, a bound, or a Gram's largest entry.
     """
     d = mod.d
     eye = np.eye(d)
     tol = d * max(eps, 16 * d * np.finfo(float).eps)
-    states = mub_family(mod).transpose(0, 2, 1).reshape(-1, d)  # point_index order
+    states, at, first = _tables(mod)
     size = np.abs(states)
     norms = (size * size).sum(axis=1)
-    at = _line_point_index(mod)  # [line_index, b + 1]
     labels = np.arange(d)
     plus, minus = (labels[:, None] + labels) % d, (labels[:, None] - labels) % d  # [a, t]
     dft = np.array(roots_of_unity(d))[-2 * labels[:, None] * labels % d]  # [t, m0]
     incident = np.argsort(at, axis=None, kind="stable")  # entries of at by point
     incident_points = at.ravel()[incident]
-    step = _block(d) // d  # columns, or m_minus1, per block
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
     columns = np.empty((d + 1, d, d), dtype=complex)
     point_gram = incidence = 0.0
-    one_per_column = bool((at // d == np.arange(d + 1)).all())
-    counts_hold = one_per_column
-    for c0 in range(0, d + 1, step):
-        cols = np.arange(c0, min(c0 + step, d + 1))
-        block = slice(c0 * d, c0 * d + len(cols) * d)
+    counts_hold = bool((at // d == np.arange(d + 1)).all())  # one point per column, none twice
+    for block in _blocks(len(states), d):
+        cols = np.arange(block.start // d, block.stop // d)
         psi = states[block]
-        a = psi[:, :, None] * psi[:, None, :].conj()
+        a = _projectors(psi)
         route = _point_operators(mod, np.tile(labels, len(cols)), np.repeat(cols - 1, d))
-        per_point[0, block] = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        per_point[0, block] = _each(a - a.conj().transpose(0, 2, 1))
         per_point[1, block] = np.abs(a.trace(axis1=1, axis2=2) - 1.0)
-        per_point[2, block] = np.abs(a - route).max(axis=(1, 2))
+        per_point[2, block] = _each(a - route)
         columns[cols] = a.reshape(-1, d, d, d).sum(axis=1)
         same_column = np.kron(np.eye(len(cols)), np.ones((d, d)))  # within the block
         overlaps = np.abs(psi.conj() @ states[block.start :].T) ** 2 - 1 / d  # with later columns
         overlaps[:, : len(psi)] += same_column / d - np.eye(len(psi))
         point_gram = np.maximum(point_gram, np.abs(overlaps).max())
         # <psi|P_(a, m0)|psi> = sum_t A[a - t, a + t] omega^(-2 t m0) on the route
-        traces = a[:, minus, plus].reshape(-1, d) @ dft
-        traces = traces.reshape(len(psi), -1)  # [point, line_index]
+        traces = (a[:, minus, plus].reshape(-1, d) @ dft).reshape(len(psi), -1)  # [point, line]
         lo, hi = np.searchsorted(incident_points, [block.start, block.stop])
         traces[incident_points[lo:hi] - block.start, incident[lo:hi] // (d + 1)] -= 1.0
         incidence = np.maximum(incidence, np.abs(traces).max())
@@ -163,192 +182,141 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple[str, float, float]]:
     per_line = np.empty((4, len(at)))  # Hermiticity, trace, square, route
     line_total = np.zeros((d, d), dtype=complex)
     line_gram = 0.0
-    for a0 in range(0, d, step):
-        groups = np.arange(a0, min(a0 + step, d))
-        block = slice(a0 * d, a0 * d + len(groups) * d)
-        psi = states[at[block]]  # [line, point of the line, n]
-        p = psi.transpose(0, 2, 1) @ psi.conj() - eye
+    for block in _blocks(len(at), d):
+        groups = np.arange(block.start // d, block.stop // d)
+        p = _line_sums(states, at, first, block)
         route = _line_operators(mod, np.repeat(groups, d), np.tile(labels, len(groups)))
-        per_line[0, block] = np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        per_line[0, block] = _each(p - p.conj().transpose(0, 2, 1))
         per_line[1, block] = np.abs(p.trace(axis1=1, axis2=2) - 1.0)
-        per_line[2, block] = np.abs(p @ p - eye).max(axis=(1, 2))
-        per_line[3, block] = np.abs(p - route).max(axis=(1, 2))
+        per_line[2, block] = _each(p @ p - eye)
+        per_line[3, block] = _each(p - route)
         line_total += p.sum(axis=0)
         # tr(D_j D_k) = sum_n D_j[n, 2a - n] D_k[2a - n, n] within one m_minus1 a, 0 across
         line = np.arange(len(p))[:, None]
         partner = (2 * np.repeat(groups, d)[:, None] - labels) % d
         forward = route[line, labels, partner].reshape(-1, d, d)
         back = route[line, partner, labels].reshape(-1, d, d)
-        gram = forward @ back.transpose(0, 2, 1)
-        line_gram = np.maximum(line_gram, np.abs(gram - d * eye).max())
+        line_gram = np.maximum(line_gram, np.abs(forward @ back.transpose(0, 2, 1) - d * eye).max())
 
     law = np.abs(norms - 1) * size.max(axis=1) ** 2  # the largest entry of A_p^2 - A_p
     delta = per_line[3].max()  # how far the line operators are from their routes
     total = columns.sum(axis=0)
-    averages = np.abs(total - columns - d * eye).max() / d if counts_hold else np.inf
-    bounds = [
-        ("op.point_hermitian", per_point[0].max(), eps),
-        ("op.line_hermitian", per_line[0].max(), eps),
-        ("op.point_projector", law.max(), tol),
-        ("op.point_projector", per_point[1].max(), eps),
-        ("op.column_completeness", np.abs(columns - eye).max(), tol),
-        ("op.global_sum", np.abs(total - (d + 1) * eye).max(), tol),
-        ("op.line_sum", np.abs(line_total - d * eye).max(), tol),
-        ("op.point_from_lines", averages, tol),
-        ("op.line_trace", per_line[1].max(), tol),
-        ("op.line_gram", line_gram + 2 * d * delta + (d * delta) ** 2, tol),
-        ("op.line_involution", per_line[2].max(), tol),
-        ("op.cross_term_distillation", (per_line[2] + law[at].sum(axis=1)).max(), tol),
-        ("op.point_route_equality", per_point[2].max(), eps),
-        ("op.line_route_equality", delta, eps),
-        ("op.point_gram_cases", point_gram, tol),
-        ("op.incidence_trace", incidence + delta * (size.sum(axis=1) ** 2).max(), tol),
+    resolution = _each(columns - eye)
+    averages = _each(total - columns - d * eye).repeat(d) / d if counts_hold else np.inf
+    sums = np.abs(total - (d + 1) * eye).max(), np.abs(line_total - d * eye).max()
+    line_gram += 2 * d * delta + (d * delta) ** 2  # from the routes to the line operators
+    cross_terms = (per_line[2] + law[at].sum(axis=1)).max()
+    incidence += delta * (size.sum(axis=1) ** 2).max()
+    return [
+        ("op.point_hermitian", per_point[0], eps, "point operator {} deviates by", "p"),
+        ("op.line_hermitian", per_line[0], eps, "line operator {} deviates by", "l"),
+        ("op.point_projector", law, tol, "projector law for point {} deviates by", "p"),
+        ("op.point_projector", per_point[1], eps, "trace of point operator {} deviates by", "p"),
+        ("op.column_completeness", resolution, tol, "column b={} resolution deviates by", "c"),
+        ("op.global_sum", sums[0], tol, "total deviates from (d+1)I by", ""),
+        ("op.line_sum", sums[1], tol, "total deviates from dI by", ""),
+        ("op.point_from_lines", averages, tol, "line average at point {} deviates by", "p"),
+        ("op.line_trace", per_line[1], tol, "trace of line operator {} deviates by", "l"),
+        ("op.line_gram", line_gram, tol, "line gram {} vs {} deviates by", "ll"),
+        ("op.line_involution", per_line[2], tol, "square of line operator {} deviates by", "l"),
+        ("op.cross_term_distillation", cross_terms, tol, "cross terms on line {} deviate by", "l"),
+        ("op.point_route_equality", per_point[2], eps, "point routes at {} deviates by", "p"),
+        ("op.line_route_equality", per_line[3], eps, "line routes at {} deviates by", "l"),
+        ("op.point_gram_cases", point_gram, tol, "point gram {} vs {} deviates by", "pp"),
+        ("op.incidence_trace", incidence, tol, "incidence trace {} vs {} deviates by", "pl"),
     ]
-    if not one_per_column:  # the line sweep counts a repeated point twice: settle nothing here
-        return [(name, np.inf, tol) for name, _, tol in bounds]
-    return bounds
 
 
-def _over_lines(n: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """n^T stack as one real product on its float view: per line with n = N, per point with N^T."""
-    d = stack.shape[-1]
-    return (n.T @ stack.reshape(len(stack), -1).view(float)).view(complex).reshape(-1, d, d)
+def _first_offending_rows(mod: Modulus, tables, check: str, tol: float) -> tuple[tuple, np.ndarray]:
+    """A check's exact deviations on its first block of rows above tol, after their first labels.
 
-
-def _worst(devs: np.ndarray, tol: float, what: str, *names) -> str:
-    """The first deviation above tol in label order, named by one function of the index per axis."""
-    return witness(
-        devs > tol,
-        lambda *at: f"{what} {' vs '.join(name(i) for name, i in zip(names, at))}"
-        f" deviates by {devs[at]:.3e}",
-    )
-
-
-def _worst_trace(a, b, expected, tol: float, what: str, row, col) -> str:
-    """_worst of |tr(a[i] @ b[j]) - expected(rows)[i, j]| over all pairs, by blocks of rows."""
-    step = _block(a.shape[-1])
-    for i in range(0, len(a), step):
-        rows = slice(i, min(i + step, len(a)))
-        devs = np.abs(_trace_products(a[rows], b) - expected(rows))
-        found = _worst(devs, tol, what, lambda r: row(i + r), col)
-        if found:
-            return found
-    return ""
-
-
-def _witnesses(mod: Modulus, eps: float, names) -> dict[str, str]:
-    """The witness of each named check by its exhaustive formula, or "" if it holds after all.
-
-    verify runs this only for the checks its block sweeps failed, so that a
-    witness names the first offending label in label order and its deviation
-    exactly as the exhaustive battery does. It holds the dense point and line stacks (the
-    projectors A, and N^T A - I from the incidence matrix N) and forms each
-    Gram one block of rows at a time.
+    The rows, points or lines, are rebuilt from the states (tables, of _tables) block by block
+    as in the sweep, O(d^3) entries at a time; if no row exceeds tol, the block is empty.
+    tr(A_p A_q) = |<psi_p|psi_q>|^2 and tr(P_j A_q) = <psi_q|P_j|psi_q>, one point block at a
+    time; against a line k they sum over its points that count: tr(X P_k) = sum_q tr(X A_q) -
+    tr(X). The line average at p is (sum_q c_pq A_q - c_pp I) / d with c = N N^T, from the rows
+    of N; the cross terms of a line are P^2 + P - sum_q |psi_q|^2 A_q, as A_q^2 = |psi_q|^2 A_q.
     """
     d = mod.d
-    n = incidence_matrix(mod)
-    eye = np.eye(d)
-    states = mub_family(mod).transpose(0, 2, 1).reshape(len(n), d)
-    a_stack = states[:, :, None] * states[:, None, :].conj()
-    p_stack = _over_lines(n, a_stack) - eye
-    tol = d * max(eps, 16 * d * np.finfo(float).eps)
+    states, at, first = tables
+    norms = (np.abs(states) ** 2).sum(axis=1)
+    points, lines = _blocks(len(states), d), _blocks(len(at), d)
 
-    def point(i: int) -> str:
-        return format_point(all_points(mod)[i])
+    def on_lines(t):  # the sum of t[:, q] over the points q of each line that count
+        return sum(t[:, at[:, c]] * first[:, c] for c in range(d + 1))
 
-    def line(j: int) -> str:
-        return format_line(all_lines(mod)[j])
+    def incidence(block):  # the rows of N for the points of block
+        return on_lines(np.eye(block.stop - block.start, len(states), block.start))
 
-    def each(stack):  # largest entry per operator
-        return np.abs(stack).max(axis=(1, 2))
+    def gram(block):  # tr(A_p A_q) for the points p of block and every q
+        return np.abs(states[block].conj() @ states.T) ** 2
 
-    def projector() -> str:
-        bad = _worst(each(a_stack @ a_stack - a_stack), tol, "projector law for point", point)
-        dev = np.abs(a_stack.trace(axis1=1, axis2=2) - 1.0)
-        return bad or _worst(dev, eps, "trace of point operator", point)
+    def line_gram(block, p):
+        def quadratic(b):  # <psi_q|P_j|psi_q> for the points q of block b
+            z = (p.reshape(-1, d) @ states[b].T).reshape(len(p), d, -1)
+            return np.einsum("jaq,qa->jq", z, states[b].conj())
 
-    def total(dev, what: str) -> str:
-        return "" if dev <= tol else f"total deviates from {what} by {float(dev):.3e}"
+        traces = on_lines(np.hstack([quadratic(b) for b in points]))  # tr(P_j (P_k + I))
+        traces -= p.trace(axis1=1, axis2=2)[:, None] + d * np.eye(len(p), len(at), block.start)
+        return np.abs(traces)
 
-    def cross_terms() -> str:
-        s = p_stack + eye  # the sum of each line's projectors
-        dev = each(s @ s - _over_lines(n, a_stack @ a_stack) - s)
-        what = "cross terms on line {} deviate by {:.3e}"
-        return witness(dev > tol, lambda j: what.format(line(j), dev[j]))
+    def cross_terms(block, p):
+        squares = _line_sums(states * np.sqrt(norms)[:, None], at, first, block)  # sum A_q^2 - I
+        return _each(p @ p + p - squares - np.eye(d))
 
-    def columns() -> str:
-        dev = each(a_stack.reshape(d + 1, d, d, d).sum(axis=1) - eye)
-        what = "column b={} resolution deviates by {:.3e}"
-        return witness(dev > tol, lambda c: what.format(c - 1, dev[c]))
+    def line_average(block, a):
+        rows = incidence(block)
+        s = sum(rows @ incidence(b).T @ _projectors(states[b]).reshape(-1, d * d) for b in points)
+        return _each((s.reshape(a.shape) - rows.sum(axis=1)[:, None, None] * np.eye(d)) / d - a)
 
-    def point_gram(rows: slice) -> np.ndarray:  # rows start and end at column boundaries
-        expected = np.full((rows.stop - rows.start, len(n)), 1.0 / d)
-        for i in range(0, len(expected), d):  # a column against itself
-            expected[i : i + d, rows.start + i : rows.start + i + d] = eye
-        return expected
+    def point_gram(block, a):
+        same = np.arange(block.start, block.stop)[:, None] // d == np.arange(len(states)) // d
+        return np.abs(gram(block) - np.where(same, np.eye(len(a), len(states), block.start), 1 / d))
 
-    def line_gram(rows: slice) -> np.ndarray:
-        return d * np.eye(rows.stop - rows.start, d * d, rows.start)
+    def incidence_trace(block, a):
+        return np.abs(on_lines(gram(block)) - norms[block, None] - incidence(block))
 
-    column, row = np.divmod(np.arange(len(n)), d)
-    lines = np.divmod(np.arange(d * d), d)
-    witnesses = {
-        "op.point_hermitian": lambda: _worst(
-            each(a_stack - a_stack.conj().transpose(0, 2, 1)), eps, "point operator", point
-        ),
-        "op.line_hermitian": lambda: _worst(
-            each(p_stack - p_stack.conj().transpose(0, 2, 1)), eps, "line operator", line
-        ),
-        "op.point_projector": projector,
-        "op.column_completeness": columns,
-        "op.global_sum": lambda: total(np.abs(a_stack.sum(axis=0) - (d + 1) * eye).max(), "(d+1)I"),
-        "op.line_sum": lambda: total(np.abs(p_stack.sum(axis=0) - d * eye).max(), "dI"),
-        "op.point_from_lines": lambda: _worst(
-            each(_over_lines(n.T, p_stack) / d - a_stack), tol, "line average at point", point
-        ),
-        "op.line_trace": lambda: _worst(
-            np.abs(p_stack.trace(axis1=1, axis2=2) - 1.0), tol, "trace of line operator", line
-        ),
-        "op.line_gram": lambda: _worst_trace(
-            p_stack, p_stack, line_gram, tol, "line gram", line, line
-        ),
-        "op.line_involution": lambda: _worst(
-            each(p_stack @ p_stack - eye), tol, "square of line operator", line
-        ),
-        "op.cross_term_distillation": cross_terms,
-        "op.point_route_equality": lambda: _worst(
-            each(a_stack - _point_operators(mod, row, column - 1)), eps, "point routes at", point
-        ),
-        "op.line_route_equality": lambda: _worst(
-            each(p_stack - _line_operators(mod, *lines)), eps, "line routes at", line
-        ),
-        "op.point_gram_cases": lambda: _worst_trace(
-            a_stack, a_stack, point_gram, tol, "point gram", point, point
-        ),
-        "op.incidence_trace": lambda: _worst_trace(
-            a_stack, p_stack, lambda rows: n[rows], tol, "incidence trace", point, line
-        ),
-    }
-    return {name: witnesses[name]() for name in names}
+    rows, deviations = {
+        "op.point_from_lines": (points, line_average),
+        "op.line_gram": (lines, line_gram),
+        "op.cross_term_distillation": (lines, cross_terms),
+        "op.point_gram_cases": (points, point_gram),
+        "op.incidence_trace": (points, incidence_trace),
+    }[check]
+    for block in rows:
+        x = _projectors(states[block]) if rows is points else _line_sums(states, at, first, block)
+        devs = deviations(block, x)
+        if not (devs <= tol).all():
+            return (block.start, 0), devs
+    return (0, 0), np.zeros(0)
 
 
 def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     """Check every algebraic identity the operator families satisfy, block by block.
 
-    The point projectors A are the outer products of the states of mub_family
-    and the line operators are the sums of their incident projectors minus I,
-    found through the rows of _line_points; both are held entry by entry to the
-    direct routes, each rule evaluated once per block of d labels. The other
-    identities are read off the structure those checks confirm (see
-    _deviations): O(d^3) entries live at once and O(d^5) time. Summed identities
-    are held to d*eps, floored at 16 d^2 2^-52: their rounding alone reached
-    3.2 d^2 2^-52 over d = 3..47 (op.global_sum at d = 41). The route
-    equalities and the Hermiticity checks are held to eps itself. A check that
-    fails is named by its exhaustive formula (_witnesses).
+    The projectors and the line operators are built from the states and held to
+    the direct routes; the rest is read off that structure (_deviations), in
+    O(d^3) entries and O(d^5) time. Summed identities are held to d*eps, floored
+    at 16 d^2 2^-52: their rounding alone reached 3.2 d^2 2^-52 over d = 3..47
+    (op.global_sum at d = 41). The routes and the Hermiticity are held to eps.
+    A failing check names its first offending label, or pair, in label order and
+    its deviation; where the sweep holds one number for it, _first_offending_rows decides.
     """
-    deviations = _deviations(mod, eps)
-    failing = {name for name, dev, tol in deviations if not dev <= tol}
-    findings = dict.fromkeys((name for name, _, _ in deviations), "")
-    if failing:
-        findings.update(_witnesses(mod, eps, failing))
+    label = {  # a point, a line or a column b by its index
+        "p": lambda i: format_point(Point(i % mod.d, i // mod.d - 1)),
+        "l": lambda j: format_line(Line(*divmod(j, mod.d))),
+        "c": lambda c: str(c - 1),
+    }
+    findings: dict[str, str] = {}
+    tables = ()  # read once, when a check needs its exact pass
+    for check, devs, tol, what, kinds in _deviations(mod, eps):
+        shift = (0, 0)  # the labels of the first row and column of devs
+        if np.ndim(devs) < len(kinds) and not devs <= tol:
+            tables = tables or _tables(mod)
+            shift, devs = _first_offending_rows(mod, tables, check, tol)
+        findings[check] = findings.get(check) or witness(
+            ~(np.asarray(devs) <= tol),
+            lambda *at: what.format(*(label[k](i + s) for k, i, s in zip(kinds, at, shift)))
+            + f" {devs[at]:.3e}",
+        )
     return AxiomReport.from_findings(mod.d, findings)

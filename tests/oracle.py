@@ -11,8 +11,11 @@ evaluates the phase-space kernels with every index and phase table built anew
 on each call, which the package's cached tables must match bit for bit.
 
 dense_operator_battery is the exhaustive operator battery: every identity held
-entry by entry on the dense d(d+1) x d x d stacks and the (d(d+1))^2 Grams.
-The package's block battery must give the same report, and deviations within
+entry by entry on the dense d(d+1) x d x d stacks and the (d(d+1))^2 Grams,
+each failing check named by its first offending label (or pair, row by row)
+in label order. It is the reference that the package no longer holds: the
+package's block battery, which names a witness from its sweep or from an exact
+pass over blocks of rows, must give the same report, and deviations within
 rounding of these, wherever the two are compared.
 """
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +169,33 @@ def test_verify_operators_estimate_covers_the_measured_peak():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(31, "operators")
+
+
+def test_verify_operators_estimate_covers_a_failing_run():
+    # a scaled state and a shifted row of a line fail every bound of the sweep, so each exact
+    # pass runs; the child has no monkeypatch fixture, so plain setattr patches its modules
+    code = (
+        "import resource, sys\n"
+        "from types import SimpleNamespace\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from faults import inject\n"
+        "from mubgeo import cli, geometry, mub\n"
+        "def scale(answer):\n"
+        "    answer[0] *= 1 + 1e-6\n"
+        "def shift(answer):\n"
+        "    answer[0][5] = (answer[0][5] + 1) % 31\n"
+        "patch = SimpleNamespace(setattr=setattr)\n"
+        "inject(patch, mub, '_states', (2, 2), scale)\n"
+        "inject(patch, geometry, '_line_points', (1, 2), shift)\n"
+        "code = cli.main(['verify', '--scope', 'operators', '--d', '31'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "2/15 checks passed" in result.stderr
+    code, peak_kib = result.stdout.splitlines()[-1].split()
+    assert code == "1"
+    assert int(peak_kib) * 1024 <= cli._verify_peak_bytes(31, "operators")
 
 
 def test_operator_battery_at_d101_fits_in_2_gib(monkeypatch, capsys):

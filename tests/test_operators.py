@@ -14,7 +14,7 @@ from oracle import (
 )
 from test_mutants import CATALOGUE, RULES, mutants
 
-from mubgeo import mub, operators
+from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
 from mubgeo.geometry import (
     Line,
@@ -263,9 +263,9 @@ def test_block_battery_agrees_with_the_dense_oracle(d):
     assert verify_operator_identities(mod) == report
     assert report.passed
     blocks = _deviations(mod, 1e-10)
-    assert [(name, tol) for name, _, tol in blocks] == [(name, tol) for name, _, tol in dense]
-    for (name, got, _), (_, want, _) in zip(blocks, dense):
-        assert abs(got - want) <= 16 * d * d * 2.0**-52, name
+    assert [(name, tol) for name, _, tol, *_ in blocks] == [(name, tol) for name, _, tol in dense]
+    for (name, got, *_), (_, want, _) in zip(blocks, dense):
+        assert abs(np.max(got) - want) <= 16 * d * d * 2.0**-52, name
 
 
 @pytest.mark.parametrize("d", [5, 7])
@@ -287,6 +287,28 @@ def test_dense_oracle_reproduces_the_mutant_catalogue(d):
     assert wrong == []
 
 
+def _repeat_point(answer):
+    """Column 3 of the line's row gets the point of column 2: the line holds d distinct points."""
+    for field in answer:
+        field[3] = field[2]
+
+
+def _swap_points(answer):
+    """Columns 2 and 3 of the line's row trade points: the same point set, out of column order."""
+    for field in answer:
+        field[[2, 3]] = field[[3, 2]]
+
+
+@pytest.mark.parametrize("fix", [_repeat_point, _swap_points], ids=["repeated", "swapped"])
+def test_line_table_out_of_column_order_matches_the_dense_oracle(monkeypatch, fix):
+    # the collinearity counts are not the plane's, so the exact pass decides op.point_from_lines
+    mod = Modulus(5)
+    inject(monkeypatch, geometry, "_line_points", (1, 2), fix)
+    report, _ = dense_operator_battery(mod)
+    assert verify_operator_identities(mod) == report
+    assert report.passed == (fix is _swap_points)
+
+
 def test_battery_holds_no_dense_stack():
     # a passing run at d = 47 stays below the 76 MB of one d(d+1) x d x d complex stack
     d = 47
@@ -298,6 +320,28 @@ def test_battery_holds_no_dense_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 16 * d * (d + 1) * d * d
+
+
+def test_failing_battery_holds_no_dense_stack(monkeypatch):
+    # the faulted route fails the line_gram and incidence_trace bounds, whose exact passes
+    # then clear them, block by block; the whole run stays below the same 76 MB
+    d = 47
+    mod = Modulus(d)
+    mub.mub_family(mod)
+
+    def scale(answer):
+        answer[0] *= 1 + 1e-6
+
+    inject(monkeypatch, operators, "_line_operators", (1, 2), scale)
+    tracemalloc.start()
+    try:
+        report = verify_operator_identities(mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    failures = [(c.axiom, c.counterexample) for c in report.checks if not c.ok]
+    assert failures == [("op.line_route_equality", "line routes at (1,2) deviates by 1.000e-06")]
     assert peak < 16 * d * (d + 1) * d * d
 
 
