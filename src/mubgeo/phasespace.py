@@ -199,31 +199,26 @@ def pair_expectation(first: QuasiDistribution, second: QuasiDistribution) -> flo
     return float((first.values * second.values).sum() / first.mod.d)
 
 
-def validate_density_matrix(
-    mod: Modulus, matrix, eps: float = DEFAULT_EPS, check_psd: bool = True
-) -> np.ndarray:
-    """Require a Hermitian trace-one matrix; optionally require it PSD as well."""
+def validate_density_matrix(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Require a Hermitian, trace-one, positive semidefinite matrix."""
     rho = as_square_matrix(matrix, mod.d)
     _check_hermitian(rho, eps, "state")
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > mod.d * eps:
         raise ValueError(f"state must have unit trace, got {trace:.12g}")
-    if check_psd:
-        lowest = float(np.linalg.eigvalsh(rho).min())
-        if lowest < -mod.d * eps:
-            raise ValueError(f"state has negative eigenvalue {lowest:.6g}")
+    lowest = float(np.linalg.eigvalsh(rho).min())
+    if lowest < -mod.d * eps:
+        raise ValueError(f"state has negative eigenvalue {lowest:.6g}")
     return rho
 
 
-def probabilities_from_state(
-    mod: Modulus, rho, eps: float = DEFAULT_EPS, check_psd: bool = True
-) -> MubProbabilities:
+def probabilities_from_state(mod: Modulus, rho, eps: float = DEFAULT_EPS) -> MubProbabilities:
     """Outcome probabilities tr(rho A) for every basis state projector A.
 
     p(alpha) = (1/d) sum of V(j) over the lines j through alpha, so with W = FFT2(V) the FFT
     of p(., b) is omega^(k half(b)) W[k b, k] / d, and W[k, 0] / d for b = -1.
     """
-    rho = validate_density_matrix(mod, rho, eps, check_psd)
+    rho = validate_density_matrix(mod, rho, eps)
     index, phases = _slices(mod)
     vals = np.fft.ifft(np.fft.fft2(_line_coefficients(rho)).take(index) * phases, axis=1) / mod.d
     return MubProbabilities(mod, _real(vals, rho, eps, "probabilities"))

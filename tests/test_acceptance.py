@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 from conftest import random_density, random_hermitian_trace_one
-from oracle import line_operator_sum, point_operator
+from oracle import line_operator_sum, point_operator, probabilities
 
 from mubgeo.core import DEFAULT_EPS, Modulus
 from mubgeo.geometry import Line, Point, verify_apg_axioms, verify_dapg_axioms, verify_duality
@@ -23,6 +23,7 @@ from mubgeo.operators import (
     verify_operator_identities,
 )
 from mubgeo.phasespace import (
+    MubProbabilities,
     map_operator,
     pair_expectation,
     probabilities_from_state,
@@ -131,7 +132,7 @@ def test_acceptance_5_phase_space_round_trips():
                 rhs = np.trace(hermitian @ other).real
                 assert abs(lhs - rhs) <= d * d * 1e-10
 
-                probs = probabilities_from_state(mod, hermitian, check_psd=False)
+                probs = MubProbabilities(mod, probabilities(mod, hermitian))  # not PSD
                 tomographic = quasi_from_probabilities(probs)
                 assert np.abs(tomographic.values - quasi.values).max() <= d * 1e-10
         assert time.perf_counter() - start < 30

@@ -215,7 +215,6 @@ def test_validate_density_matrix():
     ind = np.diag([1.5, -0.5, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         validate_density_matrix(MOD3, ind)
-    validate_density_matrix(MOD3, ind, check_psd=False)
 
 
 def test_probabilities_from_state_examples():
