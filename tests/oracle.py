@@ -125,9 +125,9 @@ def _over_lines(n, stack):
 
 
 def _first(devs, tol, what, *names):
-    """The first deviation above tol in label order, named by one function of the index per axis."""
+    """The first deviation not within tol (nan included) in label order, named per axis."""
     return witness(
-        devs > tol,
+        ~(devs <= tol),
         lambda *at: f"{what} {' vs '.join(name(i) for name, i in zip(names, at))}"
         f" deviates by {devs[at]:.3e}",
     )
@@ -186,7 +186,7 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
     dev = each(a_stack.reshape(d + 1, d, d, d).sum(axis=1) - eye)
     held("op.column_completeness", dev, tol)
     findings["op.column_completeness"] = witness(
-        dev > tol, lambda c: f"column b={c - 1} resolution deviates by {dev[c]:.3e}"
+        ~(dev <= tol), lambda c: f"column b={c - 1} resolution deviates by {dev[c]:.3e}"
     )
 
     dev = held("op.global_sum", float(np.abs(a_stack.sum(axis=0) - (d + 1) * eye).max()), tol)
@@ -210,7 +210,7 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
     s = p_stack + eye  # the sum of each line's projectors
     dev = held("op.cross_term_distillation", each(s @ s - _over_lines(n, a_sq) - s), tol)
     findings["op.cross_term_distillation"] = witness(
-        dev > tol, lambda j: f"cross terms on line {line(j)} deviate by {dev[j]:.3e}"
+        ~(dev <= tol), lambda j: f"cross terms on line {line(j)} deviate by {dev[j]:.3e}"
     )
 
     column, row = np.divmod(np.arange(len(n)), d)

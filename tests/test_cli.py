@@ -187,14 +187,14 @@ def test_verify_operators_estimate_covers_a_failing_run():
         "patch = SimpleNamespace(setattr=setattr)\n"
         "inject(patch, mub, '_states', (2, 2), scale)\n"
         "inject(patch, geometry, '_line_points', (1, 2), shift)\n"
-        "code = cli.main(['verify', '--scope', 'operators', '--d', '31'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "status = cli.main(['verify', '--scope', 'operators', '--d', '31'])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "2/15 checks passed" in result.stderr
-    code, peak_kib = result.stdout.splitlines()[-1].split()
-    assert code == "1"
+    status, peak_kib = result.stdout.splitlines()[-1].split()
+    assert status == "1"
     assert int(peak_kib) * 1024 <= cli._verify_peak_bytes(31, "operators")
 
 

@@ -172,21 +172,24 @@ def test_every_check_is_failed_by_some_mutant(catalogue):
 
 
 def changes(old: dict, new: dict) -> tuple[int, int, int]:
-    """Mutants whose failing checks differ; mutants, and texts, whose witness of a check failed in both differs."""
-    verdicts = mutants = texts = 0
+    """How many mutants change their failing checks, how many change a witness, and how many texts.
+
+    A witness counts only for a check that fails in both catalogues.
+    """
+    verdicts = witnesses = texts = 0
     for name in old.keys() | new.keys():
         before, after = dict(old.get(name, [])), dict(new.get(name, []))
         moved = sum(before[check] != after[check] for check in before.keys() & after.keys())
         verdicts += list(before) != list(after)
-        mutants += moved > 0
+        witnesses += moved > 0
         texts += moved
-    return verdicts, mutants, texts
+    return verdicts, witnesses, texts
 
 
 if __name__ == "__main__":
     found = record()
-    verdicts, mutants, texts = changes(json.loads(CATALOGUE.read_text()), found)
+    verdicts, witnesses, texts = changes(json.loads(CATALOGUE.read_text()), found)
     print(f"{verdicts} of {len(found)} mutants change their failing checks;")
-    print(f"{mutants} change the witness of a check failed before and after ({texts} texts)")
+    print(f"{witnesses} change the witness of a check failed before and after ({texts} texts)")
     rows = (f"{json.dumps(name)}: {json.dumps(out)}" for name, out in found.items())
     CATALOGUE.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -451,3 +451,9 @@ def test_faulted_basis_state_is_located(monkeypatch, fresh_family, fault, failur
         verify_operator_identities(MOD5),
     ]
     assert [(c.axiom, c.counterexample) for r in reports for c in r.checks if not c.ok] == failures
+
+
+def test_nan_state_fails_every_operator_check(monkeypatch, fresh_family):
+    # a deviation that is not within its tolerance offends, nan included
+    inject(monkeypatch, mub, "_states", (2, 2), replace_with(np.full(5, np.nan)))
+    assert [c.axiom for c in verify_operator_identities(MOD5).checks if c.ok] == []
