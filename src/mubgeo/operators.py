@@ -123,8 +123,8 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
 
     A point block is a column b, a line block the d lines with one m_minus1
     (several of either while they hold under 2^15 entries); each holds O(d^3)
-    entries. Each line operator is built from the states of the points on its
-    row, as Psi^T conj(Psi) - I, and held to the anti-diagonal route in the
+    entries. Each line operator is built from the states of the distinct points
+    on its row, as Psi^T conj(Psi) - I, and held to the anti-diagonal route in the
     same pass as its Hermiticity, trace, square and the running sum. The rest
     is read off that structure: tr(A_p A_q) = |<psi_p|psi_q>|^2,
     A_p^2 - A_p = (|psi_p|^2 - 1) A_p. Once the line routes agree to delta,
