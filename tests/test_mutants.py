@@ -1,34 +1,47 @@
-"""What the operator battery catches: every single-label fault of the rules it reads.
+"""What verify catches: every single-label fault of the rules it reads.
 
 A mutant corrupts the answer of one array rule for one label, through
-faults.inject, at d = 5 and 7. The rules are the ones verify_operator_identities
-reads: geometry._line_points (the points of each line), mub._states (the
+faults.inject, at d = 5 and 7. The rules are the ones the verifiers read:
+geometry._line_points (the points of each line), geometry._pencil (the lines
+through each point), geometry._parallel_class (the points of each column),
+geometry._apg_line_points (the points of each affine line),
+geometry._common_point (the closed form of the duality), mub._states (the
 chirp rule behind mub_family), operators._point_operators and
 operators._line_operators (the direct routes). The fault families are
 enumerated whole, for every label:
 
 - another label's answer: the answer of the label with one field advanced by
   one, cyclically (each field in turn);
-- shifted by 1: one row of a line's points moved to the next row mod d; a
-  state's amplitudes moved to the next index; an operator's rows moved down;
+- shifted by 1: one row of a line's points moved to the next row mod d; the
+  m0 of one line of a pencil, the row of one point of a column, the eta of one
+  point of an affine line, or the row of a common point, advanced by one mod d;
+  a state's amplitudes moved to the next index; an operator's rows moved down;
 - one amplitude scaled by 1 + 1e-6, and one amplitude times omega: each
   amplitude of a state; each row of an operator, which for a line operator is
   its one nonzero entry in that row;
 - conjugated: the whole answer of a state or an operator.
 
-mutants.json maps each mutant to the failing checks of the battery, each with
-its witness text: the first offending label (or pair of labels) in label
-order, and its deviation. The dense battery of tests/oracle.py must give the
-same catalogue. Regenerate it only when a change of verdict or witness is
-intended, from the repository root:
+One more mutant at each d is written out by hand (EXTRA): no fault of these
+families puts three non-collinear affine points on one line.
+
+mutants.json maps each mutant to the failing checks of verify --scope all, in
+report order, each with its witness text: the first offending label (or pair
+of labels) in label order, and for an operator check its deviation. A verifier
+that raises records ["error", message] in its place. Each verifier reads only
+the rules VERIFIERS lists for it (a test holds this), so a mutant is replayed
+through those verifiers alone. The dense battery and the Gram verifiers of
+tests/oracle.py must give the same catalogue. Regenerate it only when a change
+of verdict or witness is intended, from the repository root:
 
     PYTHONPATH=src python tests/test_mutants.py
 
-Before it rewrites the file, it prints how many mutants' failing-check lists
-differ from the committed catalogue, and how many witness texts differ.
+Before it rewrites the file, it prints how many mutants are new, how many
+mutants' failing-check lists differ from the committed catalogue, how many
+witness texts differ, and how many op.* entries differ.
 """
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,18 +50,44 @@ from faults import inject, replace_with
 
 from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
-from mubgeo.operators import verify_operator_identities
 
 CATALOGUE = Path(__file__).with_name("mutants.json")
 DIMS = (5, 7)
 
-# rule -> module that holds it, and whether its labels are points (m, b) or lines (m_minus1, m0)
+# rule -> module that holds it, and its labels: points (m, b), lines (m_minus1, m0),
+# columns (b,) or affine lines (r, s) with r = d for the verticals
 RULES = {
     "_line_points": (geometry, "line"),
+    "_pencil": (geometry, "point"),
+    "_parallel_class": (geometry, "column"),
+    "_apg_line_points": (geometry, "affine"),
+    "_common_point": (geometry, "affine"),
     "_states": (mub, "point"),
     "_point_operators": (operators, "point"),
     "_line_operators": (operators, "line"),
 }
+
+# the integer rules but _common_point: the field of an answer's entry that "shifted" advances, and what an entry is
+SHIFTED = {
+    "_line_points": (0, "row"),
+    "_pencil": (1, "line"),
+    "_parallel_class": (0, "point"),
+    "_apg_line_points": (1, "point"),
+}
+
+# the verifiers of verify --scope all, in report order, and the rules each reads
+VERIFIERS = (
+    (geometry, "verify_dapg_axioms", ("_line_points", "_pencil", "_parallel_class")),
+    (geometry, "verify_apg_axioms", ("_apg_line_points",)),
+    (geometry, "verify_duality", ("_line_points", "_apg_line_points", "_common_point")),
+    (mub, "verify_eigenrelation", ("_states",)),
+    (mub, "verify_unbiasedness", ("_states",)),
+    (
+        operators,
+        "verify_operator_identities",
+        ("_line_points", "_states", "_point_operators", "_line_operators"),
+    ),
+)
 
 # checks that no single fault of these rules can fail, with the reason (also in the README)
 UNFAILABLE = {
@@ -59,17 +98,25 @@ UNFAILABLE = {
 }
 
 
-def labels(d: int, kind: str) -> list[tuple[int, int]]:
+def labels(d: int, kind: str) -> list[tuple[int, ...]]:
     if kind == "point":
         return [(m, b) for b in range(-1, d) for m in range(d)]
+    if kind == "column":
+        return [(b,) for b in range(-1, d)]
+    if kind == "affine":
+        return [(r, s) for r in range(d + 1) for s in range(d)]
     return [(a, m0) for a in range(d) for m0 in range(d)]
 
 
-def _neighbours(d: int, kind: str, label: tuple[int, int]) -> list[tuple[int, int]]:
+def _neighbours(d: int, kind: str, label: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The labels with one field advanced by one, cyclically over its range."""
+    if kind == "column":
+        return [((label[0] + 2) % (d + 1) - 1,)]
     x, y = label
     if kind == "point":
         return [((x + 1) % d, y), (x, (y + 2) % (d + 1) - 1)]
+    if kind == "affine":
+        return [((x + 1) % (d + 1), y), (x, (y + 1) % d)]
     return [((x + 1) % d, y), (x, (y + 1) % d)]
 
 
@@ -90,11 +137,26 @@ def _at(index, factor):
     return _edit(f)
 
 
-def _row_up(c, d):
+def _up(field, index, d):
+    """A fix that advances one field of the answer's entry `index` by one, mod d."""
+
     def fix(answer):
-        answer[0][c] = (answer[0][c] + 1) % d
+        answer[field][index] = (answer[field][index] + 1) % d
 
     return fix
+
+
+def _collinear(answer):
+    """The affine line's point 2 becomes (0, 1): eta = 0 then holds (0,0), (1,0) and (0,1)."""
+    answer[0][2], answer[1][2] = 0, 1
+
+
+# (rule, label, what, fix) of the mutants written out by hand, at each d
+EXTRA = (("_apg_line_points", (0, 0), "point 2 is 0,1", _collinear),)
+
+
+def _name(label) -> str:
+    return ",".join(map(str, label))
 
 
 def mutants(d: int):
@@ -104,33 +166,64 @@ def mutants(d: int):
     for rule, (module, kind) in RULES.items():
         original = getattr(module, rule)
         for label in labels(d, kind):
-            tag = f"d={d} {rule} {label[0]},{label[1]}"
+            tag = f"d={d} {rule} {_name(label)}"
             for other in _neighbours(d, kind, label):
                 fix = replace_with(original(mod, *other))
-                yield f"{tag} answer of {other[0]},{other[1]}", rule, label, fix
-            if rule == "_line_points":
-                for c in range(d + 1):
-                    yield f"{tag} row {c - 1} shifted", rule, label, _row_up(c, d)
+                yield f"{tag} answer of {_name(other)}", rule, label, fix
+            if rule == "_common_point":
+                yield f"{tag} row shifted", rule, label, _up(0, (), d)
+                continue
+            if rule in SHIFTED:
+                field, what = SHIFTED[rule]
+                offset = -1 if rule == "_line_points" else 0  # a row is named by its column
+                for c in range(d + 1 if rule == "_line_points" else d):
+                    yield f"{tag} {what} {c + offset} shifted", rule, label, _up(field, c, d)
                 continue
             yield f"{tag} shifted", rule, label, _edit(lambda a: np.roll(a, 1, axis=0))
             yield f"{tag} conjugated", rule, label, _edit(np.conj)
             for n in range(d):
                 yield f"{tag} amplitude {n} scaled", rule, label, _at(n, 1 + 1e-6)
                 yield f"{tag} amplitude {n} times omega", rule, label, _at(n, omega)
+    for rule, label, what, fix in EXTRA:
+        yield f"d={d} {rule} {_name(label)} {what}", rule, label, fix
 
 
-def outcome(monkeypatch, d: int, rule: str, label, fix) -> list[list[str]]:
-    """The battery's failing checks as [name, witness] pairs, or [["error", message]]."""
-    module = RULES[rule][0]
-    inject(monkeypatch, module, rule, label, fix)
+def reading(rule: str) -> list:
+    """The verifiers, in report order, that read rule."""
+    return [v for v in VERIFIERS if rule in v[2]]
+
+
+def outcome(monkeypatch, d: int, rule: str, label, fix, verifiers=VERIFIERS) -> list[list[str]]:
+    """The failing checks of the verifiers as [name, witness] pairs; ["error", message] for a raise."""
+    inject(monkeypatch, RULES[rule][0], rule, label, fix)
+    found = []
     mub.mub_family.cache_clear()
     try:
-        report = verify_operator_identities(Modulus(d))
-    except ValueError as exc:
-        return [["error", str(exc)]]
+        for module, name, _ in verifiers:
+            try:
+                report = getattr(module, name)(Modulus(d))
+            except ValueError as exc:
+                found.append(["error", str(exc)])
+                continue
+            found += [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
     finally:
         mub.mub_family.cache_clear()
-    return [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
+    return found
+
+
+@lru_cache(maxsize=None)
+def _checks(module, verifier: str) -> tuple[str, ...]:
+    return tuple(c.axiom for c in getattr(module, verifier)(Modulus(3)).checks)
+
+
+def check_names(verifiers=VERIFIERS) -> list[str]:
+    return [check for module, name, _ in verifiers for check in _checks(module, name)]
+
+
+def restricted(found: list, verifiers) -> list:
+    """The entries of a catalogue entry that the verifiers report, errors included."""
+    names = set(check_names(verifiers)) | {"error"}
+    return [entry for entry in found if entry[0] in names]
 
 
 def record() -> dict:
@@ -147,16 +240,33 @@ def catalogue():
     return json.loads(CATALOGUE.read_text())
 
 
+@pytest.mark.parametrize("module, verifier, reads", VERIFIERS, ids=[v[1] for v in VERIFIERS])
+def test_each_verifier_reads_only_its_rules(monkeypatch, module, verifier, reads):
+    # every other rule raises if called, and the verifier still passes
+    def refuse(*args):
+        raise AssertionError(f"{verifier} read a rule it does not list")
+
+    for rule, (owner, _) in RULES.items():
+        if rule not in reads:
+            monkeypatch.setattr(owner, rule, refuse)
+    mub.mub_family.cache_clear()
+    try:
+        assert getattr(module, verifier)(Modulus(5)).passed
+    finally:
+        mub.mub_family.cache_clear()
+
+
 @pytest.mark.parametrize("rule", list(RULES))
 @pytest.mark.parametrize("d", DIMS)
-def test_battery_reproduces_the_catalogue(catalogue, d, rule):
+def test_verifiers_reproduce_the_catalogue(catalogue, d, rule):
+    verifiers = reading(rule)
     wrong = []
     for name, r, label, fix in mutants(d):
         if r != rule:
             continue
         with pytest.MonkeyPatch.context() as mp:
-            got = outcome(mp, d, rule, label, fix)
-        if got != catalogue[name]:
+            got = outcome(mp, d, rule, label, fix, verifiers)
+        if got != restricted(catalogue[name], verifiers):
             wrong.append((name, got, catalogue[name]))
     assert wrong == []
 
@@ -167,29 +277,37 @@ def test_catalogue_lists_every_mutant(catalogue):
 
 def test_every_check_is_failed_by_some_mutant(catalogue):
     failed = {check for found in catalogue.values() for check, _ in found}
-    checks = [c.axiom for c in verify_operator_identities(Modulus(3)).checks]
+    checks = check_names()
+    assert len(checks) == 33
     assert [c for c in checks if c not in failed] == list(UNFAILABLE)
 
 
-def changes(old: dict, new: dict) -> tuple[int, int, int]:
-    """How many mutants change their failing checks, how many change a witness, and how many texts.
+def changes(old: dict, new: dict) -> tuple[int, int, int, int, int]:
+    """How many mutants are new, change their failing checks, change a witness, and how many texts
+    and op.* entries change.
 
-    A witness counts only for a check that fails in both catalogues.
+    A witness counts only for a check that fails in both catalogues; an op.* entry is a mutant's
+    list of failing op.* checks with their witnesses.
     """
-    verdicts = witnesses = texts = 0
+    added = verdicts = witnesses = texts = ops = 0
     for name in old.keys() | new.keys():
+        added += name not in old
         before, after = dict(old.get(name, [])), dict(new.get(name, []))
         moved = sum(before[check] != after[check] for check in before.keys() & after.keys())
-        verdicts += list(before) != list(after)
+        verdicts += name in old and list(before) != list(after)
         witnesses += moved > 0
         texts += moved
-    return verdicts, witnesses, texts
+        op_before = [(c, w) for c, w in old.get(name, []) if c.startswith("op.")]
+        ops += name in old and op_before != [(c, w) for c, w in new[name] if c.startswith("op.")]
+    return added, verdicts, witnesses, texts, ops
 
 
 if __name__ == "__main__":
     found = record()
-    verdicts, witnesses, texts = changes(json.loads(CATALOGUE.read_text()), found)
-    print(f"{verdicts} of {len(found)} mutants change their failing checks;")
-    print(f"{witnesses} change the witness of a check failed before and after ({texts} texts)")
+    added, verdicts, witnesses, texts, ops = changes(json.loads(CATALOGUE.read_text()), found)
+    print(f"{added} of {len(found)} mutants are new;")
+    print(f"{verdicts} of the others change their failing checks;")
+    print(f"{witnesses} change the witness of a check failed before and after ({texts} texts);")
+    print(f"{ops} change their op.* entry")
     rows = (f"{json.dumps(name)}: {json.dumps(out)}" for name, out in found.items())
     CATALOGUE.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -12,7 +12,7 @@ from oracle import (
     point_operator,
     point_operator_stack,
 )
-from test_mutants import CATALOGUE, RULES, mutants
+from test_mutants import CATALOGUE, RULES, VERIFIERS, mutants, restricted
 
 from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
@@ -272,8 +272,11 @@ def test_block_battery_agrees_with_the_dense_oracle(d):
 def test_dense_oracle_reproduces_the_mutant_catalogue(d):
     # the catalogue was recorded by the dense battery; the block battery must reproduce it too
     catalogue = json.loads(CATALOGUE.read_text())
+    battery = VERIFIERS[-1]
     wrong = []
     for name, rule, label, fix in mutants(d):
+        if rule not in battery[2]:
+            continue
         with pytest.MonkeyPatch.context() as mp:
             inject(mp, RULES[rule][0], rule, label, fix)
             mub.mub_family.cache_clear()
@@ -282,7 +285,7 @@ def test_dense_oracle_reproduces_the_mutant_catalogue(d):
             finally:
                 mub.mub_family.cache_clear()
         found = [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
-        if found != catalogue[name]:
+        if found != restricted(catalogue[name], [battery]):
             wrong.append(name)
     assert wrong == []
 
