@@ -62,20 +62,21 @@ def _resolve_eps(args) -> float:
 def _verify_peak_bytes(d: int, scope: str) -> int:
     """An upper estimate, in bytes, of the peak memory of verify at d, passing or failing.
 
-    Counted from the largest arrays alive at once: the geometry and duality
-    checks hold about eight float (d(d+1))^2 meet, join and mask matrices; the
+    Counted from the largest arrays alive at once: the geometry and duality checks
+    hold a few sorted integer tables of the d^3 incidences, and a failing check d
+    rows of a Gram of N or M at a time (tracemalloc peaks of at most 89 d^3 bytes
+    passing, at d = 101 and 211, and 123 d^3 bytes failing, at d = 101); the
     operator battery, and the exact pass that decides a failed bound of it, about
-    twenty-five complex arrays of d^3 entries, one block of d labels each; the
-    mub checks about two copies of the d+1 complex d x d bases. Scopes run one
-    after another, so --scope all needs the largest, plus 64 MB for the
-    interpreter and numpy (~30 MB measured). Measured peaks of --scope all: ~38
-    MB at d = 19, ~73 MB at d = 31; of --scope operators: ~38 MB at d = 31 (~39
-    MB with every bound failed), ~57 MB at d = 47, ~286 MB at d = 101.
+    twenty-five complex arrays of d^3 entries, one block of d labels each; the mub
+    checks about two copies of the d+1 complex d x d bases. Scopes run one after
+    another, so --scope all needs the largest, plus 64 MB for the interpreter and
+    numpy (~30 MB measured). Measured peaks of --scope all: ~33 MB at d = 19, ~39
+    MB at d = 31; of --scope operators: ~38 MB at d = 31 (~39 MB with every bound
+    failed), ~57 MB at d = 47, ~286 MB at d = 101.
     """
-    p2 = (d * (d + 1)) ** 2
     need = {
-        "geometry": 64 * p2,
-        "duality": 64 * p2,
+        "geometry": 192 * d**3,
+        "duality": 192 * d**3,
         "mub": 32 * (d + 1) * d * d,
         "operators": 400 * d**3,
     }

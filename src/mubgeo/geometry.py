@@ -200,7 +200,7 @@ def _apg_line_points(mod: Modulus, r, s) -> ApgPoint:
 def duality_common_point(mod: Modulus, apg_line: ApgLine) -> Point:
     """The single dual-plane point shared by all lines indexed along an affine line.
 
-    This is the closed form; verify_duality checks it against the pencils read off N M.
+    This is the closed form; verify_duality checks it against the pencils it counts.
     A vertical line xi = s' collects the lines with m_minus1 = s', which meet in
     (s', -1). A sloped line eta = r*xi + s collects lines meeting in row
     s + half(r) of column -r mod d; slope 0 lands in column 0 at row s.
@@ -251,25 +251,89 @@ def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
     rows, d(d+1) columns, float64. Row a = xi*d + eta follows apg_points, which
     is also the line_index of the dual-plane line that the point labels.
     """
-    r, s = _apg_line_labels(mod)
-    m = np.zeros((mod.d * mod.d, len(r)))
-    m[line_index(mod, Line(*_apg_line_points(mod, r, s))), np.arange(len(r))[:, None]] = 1.0
+    rows = line_index(mod, Line(*_apg_line_points(mod, *_apg_line_labels(mod))))
+    m = np.zeros((mod.d * mod.d, len(rows)))
+    m[rows, np.arange(len(rows))[:, None]] = 1.0
     return m
 
 
-def _distinct_columns(gram: np.ndarray) -> int:
-    """How many distinct columns a 0/1 matrix X has, read off its Gram matrix X^T X.
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending, by one sort."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
-    Columns i and j are equal exactly when they share as many ones as each holds.
+
+def _grouped(x, y, size: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (x, y), y < width, as (ptr, y): x = i pairs with y[ptr[i]:ptr[i + 1]]."""
+    x, y = np.divmod(_distinct(x * width + y), width)
+    return np.searchsorted(x, np.arange(size + 1)), y
+
+
+def _members(grouped, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in keys, member) for every member of each key of a grouping, key by key."""
+    ptr, values = grouped
+    n = ptr[keys + 1] - ptr[keys]
+    at = np.arange(n.sum()) + np.repeat(ptr[keys] - np.cumsum(n) + n, n)
+    return np.repeat(np.arange(len(keys)), n), values[at]
+
+
+def _scan(by_row, by_column, width: int, step: int, *tests) -> list[str]:
+    """Each test's witness in the rows of X Y, read step rows at a time in order, or "".
+
+    X and Y are 0/1 with their pairs grouped by row, and Y has width columns; test(rows, g) names
+    the first offending entry of those rows g. The scan stops once every test has a witness.
     """
-    size = np.diag(gram)
-    same = (gram == size[:, None]) & (gram == size[None, :])
-    return len(gram) - int(np.triu(same, 1).any(axis=0).sum())
+    size = len(by_row[0]) - 1
+    found = [""] * len(tests)
+    for start in range(0, size, step):
+        rows = np.arange(start, min(start + step, size))
+        owner, columns = _members(by_row, rows)
+        inner, partners = _members(by_column, columns)
+        g = np.bincount(owner[inner] * width + partners, minlength=len(rows) * width)
+        found = [bad or test(rows, g.reshape(len(rows), width)) for bad, test in zip(found, tests)]
+        if all(found):
+            break
+    return found
 
 
-def _sorted_points(mod: Modulus, indices) -> list[Point]:
-    points = all_points(mod)
-    return sorted(points[i] for i in indices)
+def _pairs(name, text: str, low: int, high: int | None = None, cls=None, within=True):
+    """A test of _scan on X X^T: text at the first pair j > i whose count n is not in [low, high].
+
+    high is low unless given. With classes cls, only the pairs of one class (within) or of two are
+    tested, and c is the class of i; text is formatted with the names i and j, n and c.
+    """
+
+    def test(rows, g):
+        bad = (np.arange(g.shape[1]) > rows[:, None]) & ((g < low) | (g > (high or low)))
+        if cls is not None:
+            bad &= (cls[rows][:, None] == cls) == within
+        return witness(
+            bad,
+            lambda i, j: text.format(
+                i=name(rows[i]), j=name(j), n=g[i, j], c=None if cls is None else cls[rows[i]]
+            ),
+        )
+
+    return test
+
+
+def _is_net(rows: np.ndarray) -> bool:
+    """Whether the d^2 rows take each pair of values 0..d-1 once in every two of their d+1 columns.
+
+    For the lines as their rows per column (the affine points as their lines per class): two
+    lines then agree in one column at most, each point lies on d lines, and as sum_p C(d, 2) =
+    C(d^2, 2), two lines meet once. Two points of different columns join once.
+    """
+    d = rows.shape[1] - 1
+    columns = np.ascontiguousarray(rows.T)
+    for b, first in enumerate(columns * d):
+        if any(np.bincount(first + c, minlength=d * d).max() != 1 for c in columns[b + 1 :]):
+            return False
+    return True
+
+
+def _sorted_points(mod: Modulus, indices: np.ndarray) -> list[Point]:
+    return sorted(Point(i % mod.d, i // mod.d - 1) for i in indices.tolist())
 
 
 def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
@@ -280,65 +344,69 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     common line; every point lies on d lines and every line holds d+1 points,
     one per column; columns partition the points and are totally disconnected;
     the cross-column connectivity that makes the geometry a single block.
-    Read off N: N^T N = dI + J; N N^T is 1 across columns, 0 within one.
+    When each line holds one point per column and the lines form a net, the
+    pair checks hold; else the rows of N^T N and N N^T are scanned in order.
     """
     d = mod.d
-    n = incidence_matrix(mod)
-    meet = n.T @ n
-    join = n @ n.T
-    column, row = np.divmod(np.arange(len(n)), d)  # point i is (row, column - 1)
-    pairs = np.triu(np.ones(join.shape, dtype=bool), 1)
-    same = pairs & (column[:, None] == column[None, :])
-    cross = pairs & (column[:, None] != column[None, :])
-
-    def point(i: int) -> str:
-        return format_point(all_points(mod)[i])
-
-    def two_points(i: int, j: int) -> str:
-        return f"points {point(i)} and {point(j)}"
-
-    def line(j: int) -> str:
-        return format_line(all_lines(mod)[j])
-
-    distinct = _distinct_columns(meet)
-    ok_counts = distinct == d * d
-    pencils = np.zeros_like(n)
-    pencils[np.arange(len(n))[:, None], line_index(mod, _pencil(mod, row, column - 1))] = 1.0
-    bad_degree = witness(
-        (pencils != n).any(axis=1) | (pencils.sum(axis=1) != d),
-        lambda i: f"point {point(i)} lies on {int(n[i].sum())} lines",
-    )
-    profile = n.reshape(d + 1, d, -1).sum(axis=1).astype(int)
-    bad_degree = bad_degree or witness(
-        (profile != 1).any(axis=0),
-        lambda j: f"line {line(j)} has column profile"
-        f" {np.repeat(np.arange(CB_COLUMN, d), profile[:, j]).tolist()}",
-    )
-
+    size = d * (d + 1)
+    at = _line_point_index(mod)  # [line, b + 1]
+    column, row = np.divmod(np.arange(size), d)  # point i is (row, column - 1)
+    pencils = line_index(mod, _pencil(mod, row, column - 1))
     members = point_index(mod, _parallel_class(mod, np.arange(CB_COLUMN, d)))
-    ok_part = (np.bincount(members.ravel(), minlength=len(n)) == 1).all()
-    bad_part = witness(
-        same & (join != 0),
-        lambda i, j: f"{two_points(i, j)} of column {column[i] - 1} share {int(join[i, j])} lines",
-    ) or ("" if ok_part else "columns do not partition the point set")
+    lines = np.arange(d * d)[:, None]
+    by_line, by_point = _grouped(lines, at, d * d, size), _grouped(at, lines, size, d * d)
+
+    def point(i) -> str:
+        return format_point(Point(i % d, i // d - 1))
+
+    def line(j) -> str:
+        return format_line(Line(*divmod(j, d)))
+
+    degree = np.diff(by_point[0])
+    pencil = _distinct(np.arange(size)[:, None] * d * d + pencils)
+    through = np.repeat(np.arange(size), degree) * d * d + by_point[1]
+    differs = np.bincount(np.setxor1d(through, pencil, True) // (d * d), minlength=size)
+    bad_degree = witness(
+        (differs > 0) | (np.bincount(pencil // (d * d), minlength=size) != d),
+        lambda i: f"point {point(i)} lies on {degree[i]} lines",
+    )
+    owner = np.repeat(lines.ravel(), np.diff(by_line[0]))
+    profile = np.bincount(owner * (d + 1) + by_line[1] // d, minlength=d * size).reshape(d * d, -1)
+    bad_degree = bad_degree or witness(
+        (profile != 1).any(axis=1),
+        lambda j: f"line {line(j)} has column profile"
+        f" {np.repeat(np.arange(CB_COLUMN, d), profile[j]).tolist()}",
+    )
+
+    distinct, meet, join, same, apart = d * d, "", "", "", ""
+    if not ((at // d == np.arange(d + 1)).all() and _is_net(at % d)):
+        canonical = np.sort(at, axis=1)
+        canonical[:, 1:][np.diff(canonical, axis=1) == 0] = -1  # a repeated point counts once
+        distinct = len(np.unique(np.sort(canonical, axis=1), axis=0))
+        text = "lines {i} and {j} share {n} points"
+        (meet,) = _scan(by_line, by_point, d * d, d, _pairs(line, text, 1))
+        col = column - 1
+        join, same, apart = _scan(
+            by_point,
+            by_line,
+            size,
+            d,
+            _pairs(point, "points {i} and {j} lie on {n} common lines", 1, cls=col, within=False),
+            _pairs(point, "points {i} and {j} of column {c} share {n} lines", 0, cls=col),
+            _pairs(point, "points {i} and {j} are disconnected", 1, size, cls=col, within=False),
+        )
+    ok_part = (np.bincount(members.ravel(), minlength=size) == 1).all()
 
     return AxiomReport.from_findings(
         d,
         {
-            "dapg.counts": "" if ok_counts else f"{distinct} distinct lines, {len(n)} points",
-            "dapg.lines_meet_once": witness(
-                np.triu(meet != 1, 1),
-                lambda i, j: f"lines {line(i)} and {line(j)} share {int(meet[i, j])} points",
-            ),
-            "dapg.points_join_once": witness(
-                cross & (join != 1),
-                lambda i, j: f"{two_points(i, j)} lie on {int(join[i, j])} common lines",
-            ),
+            "dapg.counts": "" if distinct == d * d else f"{distinct} distinct lines, {size} points",
+            "dapg.lines_meet_once": meet,
+            "dapg.points_join_once": join,
             "dapg.degrees": bad_degree,
-            "dapg.columns_partition": bad_part,
-            "dapg.cross_column_connected": witness(
-                cross & (join == 0), lambda i, j: f"{two_points(i, j)} are disconnected"
-            ),
+            "dapg.columns_partition": same
+            or ("" if ok_part else "columns do not partition the point set"),
+            "dapg.cross_column_connected": apart,
         },
     )
 
@@ -350,58 +418,76 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     a unique line joins any two distinct points; the parallel postulate;
     d+1 parallel classes of d mutually disjoint lines; lines of different
     classes meet in exactly one point; a non-collinear triple exists.
-    Read off M: M M^T = dI + J; M^T M is dI within a class, J across classes;
-    M [M^T M = 0] is 1 off the line.
+    When each class partitions the points and the points, as their line in
+    each class, form a net, all but the triple hold; else the counts are
+    taken and the rows of M^T M and M M^T are scanned in order.
     """
     d = mod.d
     labels = _apg_line_labels(mod)
     slope = labels[0]  # d for the verticals
-    m = apg_incidence_matrix(mod)
-    join = m @ m.T
-    meet = m.T @ m
-    parallels = m @ (meet == 0)
-    same_class = slope[:, None] == slope[None, :]
+    table = line_index(mod, Line(*_apg_line_points(mod, *labels)))  # [line, t]: xi*d + eta
+    count = len(table)
     sizes = np.bincount(slope)
     sizes = sizes[sizes > 0]
+    ok_sizes = len(sizes) == d + 1 and (sizes == d).all()
+    net = False
+    if ok_sizes:  # the d lines of each class must hold each point once
+        points = table[np.argsort(slope, kind="stable").reshape(d + 1, d)]  # [class, line, t]
+        if (np.bincount((np.arange(d + 1)[:, None, None] * d * d + points).ravel()) == 1).all():
+            line_of = np.empty((d + 1, d * d), dtype=int)
+            line_of[np.arange(d + 1)[:, None, None], points] = np.arange(d)[:, None]
+            net = _is_net(line_of.T)
+    ok_counts, join, postulate, classes, cross = True, "", "", "", ""
+    if not net:
+        ordered = np.sort(table, axis=1)
+        ok_counts = count == d * (d + 1) and (np.diff(ordered, axis=1) != 0).all()
+        ok_counts = ok_counts and len(np.unique(ordered, axis=0)) == count
+        lines = np.arange(count)[:, None]
+        by_line = _grouped(lines, table, count, d * d)
+        by_point = _grouped(table, lines, d * d, count)
 
-    def point(a: int) -> str:
-        return f"({a // d},{a % d})"
+        def point(a) -> str:
+            return f"({a // d},{a % d})"
 
-    def line(k: int) -> str:
-        return repr(_apg_line(mod, *labels[:, k]))
+        def line(k) -> str:
+            return repr(_apg_line(mod, *labels[:, k]))
 
-    ok_counts = (
-        len(slope) == d * (d + 1)
-        and _distinct_columns(meet) == d * (d + 1)
-        and (m.sum(axis=0) == d).all()
-    )
-    if len(sizes) != d + 1 or (sizes != d).any():
-        bad_classes = f"{len(sizes)} classes with sizes {sorted(sizes.tolist())}"
-    else:
-        bad_classes = witness(
-            np.triu(same_class & (meet != 0), 1),
-            lambda k, l: f"parallel lines {line(k)} and {line(l)} intersect",
+        def parallels(rows, meet):  # [i, a]: how many lines disjoint from rows[i] pass through a
+            k, disjoint = np.nonzero(meet == 0)
+            inner, a = _members(by_line, disjoint)
+            found = np.bincount(k[inner] * d * d + a, minlength=len(rows) * d * d)
+            found = found.reshape(len(rows), -1)
+            off = np.ones(found.shape, dtype=bool)
+            off[_members(by_line, rows)] = False
+            return witness(
+                off & (found != 1),
+                lambda i, a: f"{found[i, a]} parallels to {line(rows[i])} through {point(a)}",
+            )
+
+        text = "lines {i} and {j} of different classes share {n} points"
+        postulate, cross, classes = _scan(
+            by_line,
+            by_point,
+            count,
+            d,
+            parallels,
+            _pairs(line, text, 1, cls=slope, within=False),
+            _pairs(line, "parallel lines {i} and {j} intersect", 0, cls=slope),
         )
-    collinear = m[[0, d, 1]].all(axis=0).any()
+        text = "points {i} and {j} lie on {n} lines"
+        (join,) = _scan(by_point, by_line, d * d, d, _pairs(point, text, 1))
+    if not ok_sizes:
+        classes = f"{len(sizes)} classes with sizes {sorted(sizes.tolist())}"
+    collinear = np.logical_and.reduce([(table == a).any(axis=1) for a in (0, d, 1)]).any()
 
     return AxiomReport.from_findings(
         d,
         {
             "apg.counts": "" if ok_counts else "wrong point/line counts",
-            "apg.unique_join": witness(
-                np.triu(join != 1, 1),
-                lambda a, b: f"points {point(a)} and {point(b)} lie on {int(join[a, b])} lines",
-            ),
-            "apg.parallel_postulate": witness(
-                ((m == 0) & (parallels != 1)).T,
-                lambda k, a: f"{int(parallels[a, k])} parallels to {line(k)} through {point(a)}",
-            ),
-            "apg.parallel_classes": bad_classes,
-            "apg.cross_class_meet_once": witness(
-                np.triu(~same_class & (meet != 1), 1),
-                lambda k, l: f"lines {line(k)} and {line(l)} of different classes"
-                f" share {int(meet[k, l])} points",
-            ),
+            "apg.unique_join": join,
+            "apg.parallel_postulate": postulate,
+            "apg.parallel_classes": classes,
+            "apg.cross_class_meet_once": cross,
             "apg.non_collinear_triple": "(0,0),(1,0),(0,1) collinear" if collinear else "",
         },
     )
@@ -414,28 +500,41 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     point; the affine-line -> common-point map is a bijection onto the dual
     points sending parallel classes onto columns (slope r to column -r mod d,
     verticals to the reference column); and the pencil through a fixed affine
-    point maps exactly onto the point set of its dual line.
+    point maps exactly onto the point set of its dual line. The pencils are
+    read one parallel class, d x d x (d+1) points, at a time.
     """
     d = mod.d
+    size = d * (d + 1)
     labels = _apg_line_labels(mod)
-    n = incidence_matrix(mod)
-    m = apg_incidence_matrix(mod)
+    at = _line_point_index(mod)  # [dual line, b + 1]
+    table = line_index(mod, Line(*_apg_line_points(mod, *labels)))  # [affine line, t]
     common = _common_point(mod, *labels)
-    at = point_index(mod, common)
-    pi = np.zeros((len(n), len(at)))
-    pi[at, np.arange(len(at))] = 1.0
-    # row a of M is dual line a, so (N M)[p, k] counts the lines of pencil k through p;
-    # column k must reach its full count at the k-th common point alone
-    full = n @ m == m.sum(axis=0)
-    bad_pencil = witness(
-        (full != (pi > 0)).any(axis=0),
-        lambda k: f"pencil of {_apg_line(mod, *labels[:, k])!r} shares"
-        f" {_sorted_points(mod, np.flatnonzero(full[:, k]))}",
-    )
+    where = point_index(mod, common)
 
-    distinct = np.count_nonzero(np.bincount(at))
-    if distinct != d * (d + 1):
-        bad_bijection = f"{distinct} distinct common points, expected {d * (d + 1)}"
+    def alone(start):  # the lines of each pencil share one point, its common point
+        pencil = at[table[start : start + d]]  # [pencil, line, b + 1]
+        constant = (pencil == pencil[:, :1]).all(axis=1)  # a shared point is a constant column
+        ok = (constant.sum(axis=1) == 1).all()
+        return ok and (pencil[:, 0][constant] == where[start : start + d]).all()
+
+    bad_pencil = ""
+    if not ((at // d == np.arange(d + 1)).all() and all(map(alone, range(0, len(table), d)))):
+        pencils = _grouped(np.arange(len(table))[:, None], table, len(table), d * d)
+
+        def shares(rows, g):  # the points on every distinct line of the pencil, as M counts them
+            full = g == np.diff(pencils[0])[rows][:, None]
+            return witness(
+                (full != (np.arange(size) == where[rows][:, None])).any(axis=1),
+                lambda i: f"pencil of {_apg_line(mod, *labels[:, rows[i]])!r} shares"
+                f" {_sorted_points(mod, np.flatnonzero(full[i]))}",
+            )
+
+        lines = np.arange(d * d)[:, None]
+        (bad_pencil,) = _scan(pencils, _grouped(lines, at, d * d, size), size, d, shares)
+
+    distinct = np.count_nonzero(np.bincount(where))
+    if distinct != size:
+        bad_bijection = f"{distinct} distinct common points, expected {size}"
     else:
         columns = common.b.reshape(d + 1, d)
         expected = np.array([(-r) % d for r in range(d)] + [CB_COLUMN])
@@ -445,11 +544,14 @@ def verify_duality(mod: Modulus) -> AxiomReport:
             + f" to columns {sorted(set(columns[r].tolist()))}",
         )
 
-    image = pi @ m.T > 0  # must have the support of N
+    # (a, p): p the common point of an affine line through a, or a point of dual line a
+    image = _distinct(table * size + where[:, None])
+    support = _distinct(np.arange(d * d)[:, None] * size + at)
+    differs = np.bincount(np.setxor1d(image, support, assume_unique=True) // size, minlength=d * d)
     bad_roundtrip = witness(
-        (image != (n > 0)).any(axis=0),
+        differs > 0,
         lambda a: f"pencil through ({a // d},{a % d}) maps onto"
-        f" {_sorted_points(mod, np.flatnonzero(image[:, a]))}",
+        f" {_sorted_points(mod, image[image // size == a] % size)}",
     )
 
     return AxiomReport.from_findings(

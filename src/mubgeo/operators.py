@@ -83,9 +83,8 @@ def _line_operators(mod: Modulus, m_minus1, m0) -> np.ndarray:
 
 
 def _blocks(total: int, d: int) -> list[slice]:
-    """Label blocks in order: a column or an m_minus1 of d labels; below d = 32, to 2^15 / d^2."""
-    size = d * max(1, 2**15 // d**3)
-    return [slice(i, min(i + size, total)) for i in range(0, total, size)]
+    """Label blocks in order, d labels each: one column b of points, or one m_minus1 of lines."""
+    return [slice(i, i + d) for i in range(0, total, d)]
 
 
 def _tables(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,19 +120,19 @@ def _each(stack: np.ndarray) -> np.ndarray:
 def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     """(check, deviation, tolerance, witness text, label kinds) per bound, in report order.
 
-    A point block is a column b, a line block the d lines with one m_minus1
-    (several of either while they hold under 2^15 entries); each holds O(d^3)
-    entries. Each line operator is built from the states of the distinct points
-    on its row, as Psi^T conj(Psi) - I, and held to the anti-diagonal route in the
-    same pass as its Hermiticity, trace, square and the running sum. The rest
-    is read off that structure: tr(A_p A_q) = |<psi_p|psi_q>|^2,
-    A_p^2 - A_p = (|psi_p|^2 - 1) A_p. Once the line routes agree to delta,
-    tr(P_j P_k) is that of the routes, which vanishes across two m_minus1,
-    within 2 d delta + (d delta)^2; <psi|P_(a, m0)|psi> over every m0 is one
-    length-d DFT of an anti-diagonal of A on the route, within delta |psi|_1^2;
-    and the cross terms are the square's deviation plus the norms'. The line
-    average at a point sums the column sums when the collinearity counts are
-    those of the plane. op.point_projector has two bounds, law then trace.
+    A point block is a column b, a line block the d lines with one m_minus1;
+    each holds O(d^3) entries. Each line operator is built from the states of
+    the distinct points on its row, as Psi^T conj(Psi) - I, and held to the
+    anti-diagonal route in the same pass as its Hermiticity, trace, square and
+    the running sum. The rest is read off that structure:
+    tr(A_p A_q) = |<psi_p|psi_q>|^2, A_p^2 - A_p = (|psi_p|^2 - 1) A_p. Once
+    the line routes agree to delta, tr(P_j P_k) is that of the routes, which
+    vanishes across two m_minus1, within 2 d delta + (d delta)^2;
+    <psi|P_(a, m0)|psi> over every m0 is one length-d DFT of an anti-diagonal
+    of A on the route, within delta |psi|_1^2; and the cross terms are the
+    square's deviation plus the norms'. The line average at a point sums the
+    column sums when the collinearity counts are those of the plane.
+    op.point_projector has two bounds, law then trace.
 
     The deviation is one per (p)oint, (l)ine or (c)olumn where the sweep measures the
     check's own formula, else one number: a total, a bound, or a Gram's largest entry.
@@ -154,18 +153,16 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     columns = np.empty((d + 1, d, d), dtype=complex)
     point_gram = incidence = 0.0
     counts_hold = bool((at // d == np.arange(d + 1)).all())  # one point per column, none twice
-    for block in _blocks(len(states), d):
-        cols = np.arange(block.start // d, block.stop // d)
+    for c, block in enumerate(_blocks(len(states), d)):  # column b = c - 1
         psi = states[block]
         a = _projectors(psi)
-        route = _point_operators(mod, np.tile(labels, len(cols)), np.repeat(cols - 1, d))
+        route = _point_operators(mod, labels, c - 1)
         per_point[0, block] = _each(a - a.conj().transpose(0, 2, 1))
         per_point[1, block] = np.abs(a.trace(axis1=1, axis2=2) - 1.0)
         per_point[2, block] = _each(a - route)
-        columns[cols] = a.reshape(-1, d, d, d).sum(axis=1)
-        same_column = np.kron(np.eye(len(cols)), np.ones((d, d)))  # within the block
+        columns[c] = a.sum(axis=0)
         overlaps = np.abs(psi.conj() @ states[block.start :].T) ** 2 - 1 / d  # with later columns
-        overlaps[:, : len(psi)] += same_column / d - np.eye(len(psi))
+        overlaps[:, :d] += 1 / d - eye
         point_gram = np.maximum(point_gram, np.abs(overlaps).max())
         # <psi|P_(a, m0)|psi> = sum_t A[a - t, a + t] omega^(-2 t m0) on the route
         traces = (a[:, minus, plus].reshape(-1, d) @ dft).reshape(len(psi), -1)  # [point, line]
@@ -173,30 +170,27 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
         traces[incident_points[lo:hi] - block.start, incident[lo:hi] // (d + 1)] -= 1.0
         incidence = np.maximum(incidence, np.abs(traces).max())
         if counts_hold:  # lines through both p and q, for each p of the block
-            pairs = (at[:, cols] - block.start)[:, :, None] * len(states) + at[:, None, :]
-            counts = np.bincount(pairs.ravel(), minlength=len(psi) * len(states))
-            expected = np.ones((len(psi), len(states)))
-            expected[:, block] += d * np.eye(len(psi)) - same_column
-            counts_hold = np.array_equal(counts.reshape(len(psi), -1), expected)
+            pairs = (at[:, c, None] - block.start) * len(states) + at
+            counts = np.bincount(pairs.ravel(), minlength=d * len(states))
+            expected = np.ones((d, len(states)))
+            expected[:, block] += d * eye - 1
+            counts_hold = np.array_equal(counts.reshape(d, -1), expected)
 
     per_line = np.empty((4, len(at)))  # Hermiticity, trace, square, route
     line_total = np.zeros((d, d), dtype=complex)
     line_gram = 0.0
-    for block in _blocks(len(at), d):
-        groups = np.arange(block.start // d, block.stop // d)
+    for m_minus1, block in enumerate(_blocks(len(at), d)):
         p = _line_sums(states, at, first, block)
-        route = _line_operators(mod, np.repeat(groups, d), np.tile(labels, len(groups)))
+        route = _line_operators(mod, np.full(d, m_minus1), labels)
         per_line[0, block] = _each(p - p.conj().transpose(0, 2, 1))
         per_line[1, block] = np.abs(p.trace(axis1=1, axis2=2) - 1.0)
         per_line[2, block] = _each(p @ p - eye)
         per_line[3, block] = _each(p - route)
         line_total += p.sum(axis=0)
         # tr(D_j D_k) = sum_n D_j[n, 2a - n] D_k[2a - n, n] within one m_minus1 a, 0 across
-        line = np.arange(len(p))[:, None]
-        partner = (2 * np.repeat(groups, d)[:, None] - labels) % d
-        forward = route[line, labels, partner].reshape(-1, d, d)
-        back = route[line, partner, labels].reshape(-1, d, d)
-        line_gram = np.maximum(line_gram, np.abs(forward @ back.transpose(0, 2, 1) - d * eye).max())
+        partner = (2 * m_minus1 - labels) % d
+        forward, back = route[:, labels, partner], route[:, partner, labels]
+        line_gram = np.maximum(line_gram, np.abs(forward @ back.T - d * eye).max())
 
     law = np.abs(norms - 1) * size.max(axis=1) ** 2  # the largest entry of A_p^2 - A_p
     delta = per_line[3].max()  # how far the line operators are from their routes

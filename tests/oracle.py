@@ -17,13 +17,21 @@ in label order. It is the reference that the package no longer holds: the
 package's block battery, which names a witness from its sweep or from an exact
 pass over blocks of rows, must give the same report, and deviations within
 rounding of these, wherever the two are compared.
+
+gram_dapg_axioms, gram_apg_axioms and gram_duality are the exhaustive geometry
+and duality checks: every check read off a Gram of the 0/1 incidence matrices
+N and M (N^T N, N N^T, M M^T, M^T M and N M), each failing check named by its
+first offending pair, point or line in row-major order. The package's counting
+verifiers must give the same report. They read the label rules through the
+geometry module, so that a fault injected there reaches them too.
 """
 
 import numpy as np
 
-from mubgeo import operators
+from mubgeo import geometry, operators
 from mubgeo.core import DEFAULT_EPS, roots_of_unity
 from mubgeo.geometry import (
+    CB_COLUMN,
     all_lines,
     all_points,
     check_line,
@@ -31,7 +39,9 @@ from mubgeo.geometry import (
     format_line,
     format_point,
     incidence_matrix,
+    line_index,
     line_points,
+    point_index,
 )
 from mubgeo.mub import mub_family, mub_state
 from mubgeo.report import AxiomReport, witness
@@ -231,3 +241,203 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
     findings["op.incidence_trace"] = _first(dev, tol, "incidence trace", point, line)
 
     return AxiomReport.from_findings(d, findings), deviations
+
+
+def _distinct_columns(gram):
+    """How many distinct columns a 0/1 matrix X has, read off its Gram matrix X^T X.
+
+    Columns i and j are equal exactly when they share as many ones as each holds.
+    """
+    size = np.diag(gram)
+    same = (gram == size[:, None]) & (gram == size[None, :])
+    return len(gram) - int(np.triu(same, 1).any(axis=0).sum())
+
+
+def gram_dapg_axioms(mod):
+    """Exhaustively check the defining properties of the dual plane.
+
+    Covers: counts (d^2 distinct lines, d(d+1) points); any two lines meet in
+    exactly one point; any two points of different columns lie on exactly one
+    common line; every point lies on d lines and every line holds d+1 points,
+    one per column; columns partition the points and are totally disconnected;
+    the cross-column connectivity that makes the geometry a single block.
+    Read off N: N^T N = dI + J; N N^T is 1 across columns, 0 within one.
+    """
+    d = mod.d
+    n = geometry.incidence_matrix(mod)
+    meet = n.T @ n
+    join = n @ n.T
+    column, row = np.divmod(np.arange(len(n)), d)  # point i is (row, column - 1)
+    pairs = np.triu(np.ones(join.shape, dtype=bool), 1)
+    same = pairs & (column[:, None] == column[None, :])
+    cross = pairs & (column[:, None] != column[None, :])
+
+    def point(i: int) -> str:
+        return format_point(all_points(mod)[i])
+
+    def two_points(i: int, j: int) -> str:
+        return f"points {point(i)} and {point(j)}"
+
+    def line(j: int) -> str:
+        return format_line(all_lines(mod)[j])
+
+    distinct = _distinct_columns(meet)
+    ok_counts = distinct == d * d
+    pencils = np.zeros_like(n)
+    pencils[np.arange(len(n))[:, None], line_index(mod, geometry._pencil(mod, row, column - 1))] = 1.0
+    bad_degree = witness(
+        (pencils != n).any(axis=1) | (pencils.sum(axis=1) != d),
+        lambda i: f"point {point(i)} lies on {int(n[i].sum())} lines",
+    )
+    profile = n.reshape(d + 1, d, -1).sum(axis=1).astype(int)
+    bad_degree = bad_degree or witness(
+        (profile != 1).any(axis=0),
+        lambda j: f"line {line(j)} has column profile"
+        f" {np.repeat(np.arange(CB_COLUMN, d), profile[:, j]).tolist()}",
+    )
+
+    members = point_index(mod, geometry._parallel_class(mod, np.arange(CB_COLUMN, d)))
+    ok_part = (np.bincount(members.ravel(), minlength=len(n)) == 1).all()
+    bad_part = witness(
+        same & (join != 0),
+        lambda i, j: f"{two_points(i, j)} of column {column[i] - 1} share {int(join[i, j])} lines",
+    ) or ("" if ok_part else "columns do not partition the point set")
+
+    return AxiomReport.from_findings(
+        d,
+        {
+            "dapg.counts": "" if ok_counts else f"{distinct} distinct lines, {len(n)} points",
+            "dapg.lines_meet_once": witness(
+                np.triu(meet != 1, 1),
+                lambda i, j: f"lines {line(i)} and {line(j)} share {int(meet[i, j])} points",
+            ),
+            "dapg.points_join_once": witness(
+                cross & (join != 1),
+                lambda i, j: f"{two_points(i, j)} lie on {int(join[i, j])} common lines",
+            ),
+            "dapg.degrees": bad_degree,
+            "dapg.columns_partition": bad_part,
+            "dapg.cross_column_connected": witness(
+                cross & (join == 0), lambda i, j: f"{two_points(i, j)} are disconnected"
+            ),
+        },
+    )
+
+
+def gram_apg_axioms(mod):
+    """Exhaustively check that the affine construction is an affine plane of order d.
+
+    Covers: counts (d^2 points, d(d+1) distinct lines, d points per line);
+    a unique line joins any two distinct points; the parallel postulate;
+    d+1 parallel classes of d mutually disjoint lines; lines of different
+    classes meet in exactly one point; a non-collinear triple exists.
+    Read off M: M M^T = dI + J; M^T M is dI within a class, J across classes;
+    M [M^T M = 0] is 1 off the line.
+    """
+    d = mod.d
+    labels = geometry._apg_line_labels(mod)
+    slope = labels[0]  # d for the verticals
+    m = geometry.apg_incidence_matrix(mod)
+    join = m @ m.T
+    meet = m.T @ m
+    parallels = m @ (meet == 0)
+    same_class = slope[:, None] == slope[None, :]
+    sizes = np.bincount(slope)
+    sizes = sizes[sizes > 0]
+
+    def point(a: int) -> str:
+        return f"({a // d},{a % d})"
+
+    def line(k: int) -> str:
+        return repr(geometry._apg_line(mod, *labels[:, k]))
+
+    ok_counts = (
+        len(slope) == d * (d + 1)
+        and _distinct_columns(meet) == d * (d + 1)
+        and (m.sum(axis=0) == d).all()
+    )
+    if len(sizes) != d + 1 or (sizes != d).any():
+        bad_classes = f"{len(sizes)} classes with sizes {sorted(sizes.tolist())}"
+    else:
+        bad_classes = witness(
+            np.triu(same_class & (meet != 0), 1),
+            lambda k, l: f"parallel lines {line(k)} and {line(l)} intersect",
+        )
+    collinear = m[[0, d, 1]].all(axis=0).any()
+
+    return AxiomReport.from_findings(
+        d,
+        {
+            "apg.counts": "" if ok_counts else "wrong point/line counts",
+            "apg.unique_join": witness(
+                np.triu(join != 1, 1),
+                lambda a, b: f"points {point(a)} and {point(b)} lie on {int(join[a, b])} lines",
+            ),
+            "apg.parallel_postulate": witness(
+                ((m == 0) & (parallels != 1)).T,
+                lambda k, a: f"{int(parallels[a, k])} parallels to {line(k)} through {point(a)}",
+            ),
+            "apg.parallel_classes": bad_classes,
+            "apg.cross_class_meet_once": witness(
+                np.triu(~same_class & (meet != 1), 1),
+                lambda k, l: f"lines {line(k)} and {line(l)} of different classes"
+                f" share {int(meet[k, l])} points",
+            ),
+            "apg.non_collinear_triple": "(0,0),(1,0),(0,1) collinear" if collinear else "",
+        },
+    )
+
+
+def gram_duality(mod):
+    """Exhaustively check the correspondence between the two geometries.
+
+    Every affine line indexes a pencil of dual-plane lines sharing exactly one
+    point; the affine-line -> common-point map is a bijection onto the dual
+    points sending parallel classes onto columns (slope r to column -r mod d,
+    verticals to the reference column); and the pencil through a fixed affine
+    point maps exactly onto the point set of its dual line.
+    """
+    d = mod.d
+    labels = geometry._apg_line_labels(mod)
+    n = geometry.incidence_matrix(mod)
+    m = geometry.apg_incidence_matrix(mod)
+    common = geometry._common_point(mod, *labels)
+    at = point_index(mod, common)
+    pi = np.zeros((len(n), len(at)))
+    pi[at, np.arange(len(at))] = 1.0
+    # row a of M is dual line a, so (N M)[p, k] counts the lines of pencil k through p;
+    # column k must reach its full count at the k-th common point alone
+    full = n @ m == m.sum(axis=0)
+    bad_pencil = witness(
+        (full != (pi > 0)).any(axis=0),
+        lambda k: f"pencil of {geometry._apg_line(mod, *labels[:, k])!r} shares"
+        f" {geometry._sorted_points(mod, np.flatnonzero(full[:, k]))}",
+    )
+
+    distinct = np.count_nonzero(np.bincount(at))
+    if distinct != d * (d + 1):
+        bad_bijection = f"{distinct} distinct common points, expected {d * (d + 1)}"
+    else:
+        columns = common.b.reshape(d + 1, d)
+        expected = np.array([(-r) % d for r in range(d)] + [CB_COLUMN])
+        bad_bijection = witness(
+            (columns != expected[:, None]).any(axis=1),
+            lambda r: (f"slope {r} maps" if r < d else "verticals map")
+            + f" to columns {sorted(set(columns[r].tolist()))}",
+        )
+
+    image = pi @ m.T > 0  # must have the support of N
+    bad_roundtrip = witness(
+        (image != (n > 0)).any(axis=0),
+        lambda a: f"pencil through ({a // d},{a % d}) maps onto"
+        f" {geometry._sorted_points(mod, np.flatnonzero(image[:, a]))}",
+    )
+
+    return AxiomReport.from_findings(
+        d,
+        {
+            "duality.pencil_common_point": bad_pencil,
+            "duality.class_to_column_bijection": bad_bijection,
+            "duality.point_pencil_roundtrip": bad_roundtrip,
+        },
+    )

@@ -199,13 +199,28 @@ def test_verify_operators_estimate_covers_a_failing_run():
 
 
 def test_operator_battery_at_d101_fits_in_2_gib(monkeypatch, capsys):
-    # the block battery is admitted; the geometry Grams of --scope all are not
+    # the block battery is admitted
     monkeypatch.setattr(cli.os, "sysconf", lambda name: 2**19 if name == "SC_PHYS_PAGES" else 4096)
     monkeypatch.setattr(cli, "verify_operator_identities", lambda mod, eps: AxiomReport(mod.d, ()))
     assert cli.main(["verify", "--scope", "operators", "--d", "101"]) == 0
-    assert cli.main(["verify", "--scope", "all", "--d", "101"]) == 2
-    err = capsys.readouterr().err
-    assert "error: verify --scope all at d=101 needs about 6.4 GiB, more than the 2.0 GiB" in err
+
+
+def test_verify_all_at_d101_fits_in_2_gib(monkeypatch, capsys):
+    # the counting geometry checks hold O(d^3) entries, so no scope of --scope all is refused;
+    # the Gram geometry checks were estimated at 6.4 GiB here
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: 2**19 if name == "SC_PHYS_PAGES" else 4096)
+    for name in (
+        "verify_dapg_axioms",
+        "verify_apg_axioms",
+        "verify_duality",
+        "verify_eigenrelation",
+        "verify_unbiasedness",
+        "verify_operator_identities",
+    ):
+        monkeypatch.setattr(cli, name, lambda mod, eps=None: AxiomReport(mod.d, ()))
+    assert cli._verify_peak_bytes(101, "all") < 2**31
+    assert cli.main(["verify", "--scope", "all", "--d", "101"]) == 0
+    assert capsys.readouterr().err == "scope=all d=101: 0/0 checks passed (10302 points, 10201 lines swept)\n"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 from faults import inject, replace_with
+from oracle import gram_apg_axioms, gram_dapg_axioms, gram_duality
+from test_mutants import DIMS, VERIFIERS, mutants
 
 from mubgeo import geometry
 from mubgeo.core import Modulus
@@ -447,3 +450,47 @@ def test_out_of_range_answer_raises_the_label_error(monkeypatch, rule, targets, 
         for verify in (verify_dapg_axioms, verify_apg_axioms, verify_duality):
             verify(MOD5)
     assert str(error.value) == f"invalid {message} for d=5"
+
+
+@pytest.mark.parametrize("verify", [verify_dapg_axioms, verify_apg_axioms, verify_duality])
+def test_geometry_checks_hold_no_gram(verify):
+    # a passing run at d = 31 stays below 4 MiB; one float64 (d(d+1))^2 Gram is 7.5 MiB
+    mod = Modulus(31)
+    tracemalloc.start()
+    try:
+        assert verify(mod).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+GRAMS = {
+    "verify_dapg_axioms": gram_dapg_axioms,
+    "verify_apg_axioms": gram_apg_axioms,
+    "verify_duality": gram_duality,
+}
+
+
+def _outcome(verify, mod):
+    try:
+        return verify(mod)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_gram_oracle_agrees_on_every_mutant(d):
+    # the counting checks reproduce the catalogue, so the Gram checks of tests/oracle.py must too
+    wrong = []
+    for name, rule, label, fix in mutants(d):
+        for module, verifier, reads in VERIFIERS:
+            if module is not geometry or rule not in reads:
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                inject(mp, geometry, rule, label, fix)
+                got = _outcome(getattr(geometry, verifier), Modulus(d))
+                want = _outcome(GRAMS[verifier], Modulus(d))
+            if got != want:
+                wrong.append((name, verifier))
+    assert wrong == []

@@ -326,6 +326,20 @@ def test_battery_holds_no_dense_stack():
     assert peak < 16 * d * (d + 1) * d * d
 
 
+def test_battery_at_d13_holds_one_column_at_a_time():
+    # a block is one column of points or one m_minus1 of lines at every d, so a passing run at
+    # d = 13 stays under 1 MiB; blocks of all 14 columns at once peaked at 4.3 MiB
+    mod = Modulus(13)
+    mub.mub_family(mod)
+    tracemalloc.start()
+    try:
+        assert verify_operator_identities(mod).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_failing_battery_holds_no_dense_stack(monkeypatch):
     # the faulted route fails the line_gram and incidence_trace bounds, whose exact passes
     # then clear them, block by block; the whole run stays below the same 76 MB
