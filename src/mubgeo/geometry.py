@@ -365,7 +365,8 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     degree = np.diff(by_point[0])
     pencil = _distinct(np.arange(size)[:, None] * d * d + pencils)
     through = np.repeat(np.arange(size), degree) * d * d + by_point[1]
-    differs = np.bincount(np.setxor1d(through, pencil, True) // (d * d), minlength=size)
+    odd = np.setxor1d(through, pencil, assume_unique=True)  # on one side only
+    differs = np.bincount(odd // (d * d), minlength=size)
     bad_degree = witness(
         (differs > 0) | (np.bincount(pencil // (d * d), minlength=size) != d),
         lambda i: f"point {point(i)} lies on {degree[i]} lines",

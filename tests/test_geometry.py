@@ -494,3 +494,21 @@ def test_gram_oracle_agrees_on_every_mutant(d):
             if got != want:
                 wrong.append((name, verifier))
     assert wrong == []
+
+
+def test_class_preserving_swap_is_caught(monkeypatch):
+    # lines eta = 0 and eta = 1 trade their points at xi = 2: slope class 0 still covers each
+    # point once, so only the net over the classes can tell, and the scan names the witnesses
+    _corrupt(monkeypatch, "_apg_line_points", SlopedLine(0, 0), 2, lambda _: ApgPoint(2, 1))
+    _corrupt(monkeypatch, "_apg_line_points", SlopedLine(0, 1), 2, lambda _: ApgPoint(2, 0))
+    report = verify_apg_axioms(MOD5)
+    assert report == gram_apg_axioms(MOD5)
+    assert _failures(report) == [
+        ("apg.unique_join", "points (0,0) and (2,0) lie on 0 lines"),
+        ("apg.parallel_postulate", "2 parallels to SlopedLine(r=0, s=0) through (0,1)"),
+        (
+            "apg.cross_class_meet_once",
+            "lines SlopedLine(r=0, s=0) and SlopedLine(r=1, s=3) of different classes"
+            " share 0 points",
+        ),
+    ]
