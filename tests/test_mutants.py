@@ -258,7 +258,7 @@ def test_each_verifier_reads_only_its_rules(monkeypatch, module, verifier, reads
 
 @pytest.mark.parametrize("rule", list(RULES))
 @pytest.mark.parametrize("d", DIMS)
-def test_verifiers_reproduce_the_catalogue(catalogue, d, rule):
+def test_battery_reproduces_the_catalogue(catalogue, d, rule):
     verifiers = reading(rule)
     wrong = []
     for name, r, label, fix in mutants(d):
