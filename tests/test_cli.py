@@ -198,7 +198,7 @@ def test_verify_operators_estimate_covers_a_failing_run():
     assert int(peak_kib) * 1024 <= cli._verify_peak_bytes(31, "operators")
 
 
-def test_operator_battery_at_d101_fits_in_2_gib(monkeypatch, capsys):
+def test_operator_battery_at_d101_fits_in_2_gib(monkeypatch):
     # the block battery is admitted
     monkeypatch.setattr(cli.os, "sysconf", lambda name: 2**19 if name == "SC_PHYS_PAGES" else 4096)
     monkeypatch.setattr(cli, "verify_operator_identities", lambda mod, eps: AxiomReport(mod.d, ()))
