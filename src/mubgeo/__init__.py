@@ -20,18 +20,13 @@ from .geometry import (
     Point,
     SlopedLine,
     VerticalLine,
-    all_lines,
-    all_points,
     apg_incidence_matrix,
     apg_line_points,
-    apg_lines,
-    apg_points,
     duality_common_point,
     incidence_matrix,
     line_index,
     line_points,
     lines_through_point,
-    parallel_class,
     point_index,
     verify_apg_axioms,
     verify_dapg_axioms,

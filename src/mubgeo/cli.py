@@ -64,20 +64,22 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
 
     Counted from the largest arrays alive at once: the geometry and duality checks
     hold a few sorted integer tables of the d^3 incidences, and a failing check d
-    rows of a Gram of N or M at a time (tracemalloc peaks of at most 89 d^3 bytes
-    passing, at d = 101 and 211, and 123 d^3 bytes failing, at d = 101); the
+    rows of a Gram of N or M at a time (tracemalloc peaks of at most 66 d^3 bytes
+    passing, at d = 101 and 211, and 99 d^3 bytes failing, at d = 101); the
     operator battery, and the exact pass that decides a failed bound of it, about
     twenty-five complex arrays of d^3 entries, one block of d labels each; the mub
-    checks about two copies of the d+1 complex d x d bases. Scopes run one after
-    another, so --scope all needs the largest, plus 64 MB for the interpreter and
-    numpy (~30 MB measured). Measured peaks of --scope all: ~33 MB at d = 19, ~39
-    MB at d = 31; of --scope operators: ~38 MB at d = 31 (~39 MB with every bound
-    failed), ~57 MB at d = 47, ~286 MB at d = 101.
+    checks four complex copies of the d+1 bases: the family, X Z^b, their product
+    and its residual (tracemalloc 64.3 (d+1) d^2 bytes at d = 113 and 151).
+    Scopes run one after another, so --scope all needs the largest, plus 64 MB
+    for the interpreter and numpy (~30 MB measured). Measured peaks of --scope
+    all: ~33 MB at d = 19, ~39 MB at d = 31; of --scope operators: ~38 MB at d =
+    31 (~39 MB with every bound failed), ~57 MB at d = 47, ~286 MB at d = 101; of
+    --scope mub: 120 MiB at d = 113, 158 MiB at d = 127, 243 MiB at d = 151.
     """
     need = {
         "geometry": 192 * d**3,
         "duality": 192 * d**3,
-        "mub": 32 * (d + 1) * d * d,
+        "mub": 64 * (d + 1) * d * d,
         "operators": 400 * d**3,
     }
     return 64 * 2**20 + max(need.values() if scope == "all" else [need[scope]])

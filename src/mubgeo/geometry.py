@@ -21,7 +21,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import Modulus
-from .report import AxiomReport, witness
+from .report import AxiomReport, first_witnesses, witness
 
 CB_COLUMN = -1
 
@@ -92,16 +92,6 @@ def format_line(line: Line) -> str:
     return f"({line.m_minus1},{line.m0})"
 
 
-def all_points(mod: Modulus) -> tuple[Point, ...]:
-    """Every dual-plane point, column-major starting at the reference column."""
-    return tuple(Point(m, b) for b in range(CB_COLUMN, mod.d) for m in range(mod.d))
-
-
-def all_lines(mod: Modulus) -> tuple[Line, ...]:
-    """Every dual-plane line, lexicographic in (m_minus1, m0)."""
-    return tuple(Line(a, b) for a in range(mod.d) for b in range(mod.d))
-
-
 def _unstack(labels) -> tuple:
     """A label whose fields are equal-length arrays, as a tuple of labels."""
     return tuple(map(type(labels), *(f.tolist() for f in labels)))
@@ -141,29 +131,13 @@ def _pencil(mod: Modulus, m, b) -> Line:
     return Line(np.where(ref, m, t), np.where(ref, t, (m - mod.half(b) * (2 * t - 1)) % mod.d))
 
 
-def parallel_class(mod: Modulus, b: int) -> tuple[Point, ...]:
-    """All d points of one column; columns partition the point set."""
-    if not CB_COLUMN <= b < mod.d:
-        raise ValueError(f"invalid column {b} for d={mod.d}")
-    return _unstack(_parallel_class(mod, b))
-
-
 def _parallel_class(mod: Modulus, b) -> Point:
     """The points of columns b, over label arrays: fields of shape (..., d)."""
     return Point(*np.broadcast_arrays(np.arange(mod.d), np.expand_dims(b, -1)))
 
 
-def apg_points(mod: Modulus) -> tuple[ApgPoint, ...]:
-    return tuple(ApgPoint(xi, eta) for xi in range(mod.d) for eta in range(mod.d))
-
-
-def apg_lines(mod: Modulus) -> tuple[ApgLine, ...]:
-    """All d(d+1) affine lines: sloped ones lexicographic in (r, s), then verticals."""
-    return tuple(_apg_line(mod, r, s) for r, s in _apg_line_labels(mod).T)
-
-
 def _apg_line_labels(mod: Modulus) -> np.ndarray:
-    """(r, s) of every affine line in apg_lines order, as rows of one array; r = d codes xi = s."""
+    """(r, s) of every affine line, sloped ones in order then verticals; r = d codes xi = s."""
     return np.indices((mod.d + 1, mod.d)).reshape(2, -1)
 
 
@@ -247,9 +221,9 @@ def incidence_matrix(mod: Modulus) -> np.ndarray:
 def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
     """The affine plane's incidence matrix M, read off the points of every affine line at once.
 
-    M[a, k] is 1 where affine point a lies on the k-th line of apg_lines: d^2
-    rows, d(d+1) columns, float64. Row a = xi*d + eta follows apg_points, which
-    is also the line_index of the dual-plane line that the point labels.
+    M[a, k] is 1 where affine point a lies on the k-th line of _apg_line_labels:
+    d^2 rows, d(d+1) columns, float64. Row a = xi*d + eta is also the
+    line_index of the dual-plane line that the point labels.
     """
     rows = line_index(mod, Line(*_apg_line_points(mod, *_apg_line_labels(mod))))
     m = np.zeros((mod.d * mod.d, len(rows)))
@@ -277,27 +251,24 @@ def _members(grouped, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(keys)), n), values[at]
 
 
-def _scan(by_row, by_column, width: int, step: int, *tests) -> list[str]:
-    """Each test's witness in the rows of X Y, read step rows at a time in order, or "".
+def _gram_rows(by_row, by_column, width: int, d: int):
+    """The rows of X Y, d at a time in order, as first_witnesses reads them: (blocks, build).
 
-    X and Y are 0/1 with their pairs grouped by row, and Y has width columns; test(rows, g) names
-    the first offending entry of those rows g. The scan stops once every test has a witness.
+    X and Y are 0/1 with their pairs grouped by row, and Y has width columns; build(rows) counts
+    the entries of those rows.
     """
-    size = len(by_row[0]) - 1
-    found = [""] * len(tests)
-    for start in range(0, size, step):
-        rows = np.arange(start, min(start + step, size))
+
+    def build(rows):
         owner, columns = _members(by_row, rows)
         inner, partners = _members(by_column, columns)
         g = np.bincount(owner[inner] * width + partners, minlength=len(rows) * width)
-        found = [bad or test(rows, g.reshape(len(rows), width)) for bad, test in zip(found, tests)]
-        if all(found):
-            break
-    return found
+        return g.reshape(len(rows), width)
+
+    return np.arange(len(by_row[0]) - 1).reshape(-1, d), build
 
 
 def _pairs(name, text: str, low: int, high: int | None = None, cls=None, within=True):
-    """A test of _scan on X X^T: text at the first pair j > i whose count n is not in [low, high].
+    """A test of rows of X X^T: text at the first pair j > i whose count n is not in [low, high].
 
     high is low unless given. With classes cls, only the pairs of one class (within) or of two are
     tested, and c is the class of i; text is formatted with the names i and j, n and c.
@@ -354,7 +325,6 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     pencils = line_index(mod, _pencil(mod, row, column - 1))
     members = point_index(mod, _parallel_class(mod, np.arange(CB_COLUMN, d)))
     lines = np.arange(d * d)[:, None]
-    by_line, by_point = _grouped(lines, at, d * d, size), _grouped(at, lines, size, d * d)
 
     def point(i) -> str:
         return format_point(Point(i % d, i // d - 1))
@@ -362,36 +332,31 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     def line(j) -> str:
         return format_line(Line(*divmod(j, d)))
 
-    degree = np.diff(by_point[0])
+    through = _distinct(at * (d * d) + lines)  # (point, line) of each incidence, once
+    degree = np.bincount(through // (d * d), minlength=size)
     pencil = _distinct(np.arange(size)[:, None] * d * d + pencils)
-    through = np.repeat(np.arange(size), degree) * d * d + by_point[1]
     odd = np.setxor1d(through, pencil, assume_unique=True)  # on one side only
     differs = np.bincount(odd // (d * d), minlength=size)
     bad_degree = witness(
         (differs > 0) | (np.bincount(pencil // (d * d), minlength=size) != d),
         lambda i: f"point {point(i)} lies on {degree[i]} lines",
     )
-    owner = np.repeat(lines.ravel(), np.diff(by_line[0]))
-    profile = np.bincount(owner * (d + 1) + by_line[1] // d, minlength=d * size).reshape(d * d, -1)
+    ordered = np.sort(at, axis=1)
     bad_degree = bad_degree or witness(
-        (profile != 1).any(axis=1),
-        lambda j: f"line {line(j)} has column profile"
-        f" {np.repeat(np.arange(CB_COLUMN, d), profile[j]).tolist()}",
+        (ordered // d != np.arange(d + 1)).any(axis=1),
+        lambda j: f"line {line(j)} has column profile {(np.unique(at[j]) // d - 1).tolist()}",
     )
 
     distinct, meet, join, same, apart = d * d, "", "", "", ""
     if not ((at // d == np.arange(d + 1)).all() and _is_net(at % d)):
-        canonical = np.sort(at, axis=1)
-        canonical[:, 1:][np.diff(canonical, axis=1) == 0] = -1  # a repeated point counts once
-        distinct = len(np.unique(np.sort(canonical, axis=1), axis=0))
+        ordered[:, 1:][np.diff(ordered, axis=1) == 0] = -1  # a repeated point counts once
+        distinct = len(np.unique(np.sort(ordered, axis=1), axis=0))
+        by_line, by_point = _grouped(lines, at, d * d, size), _grouped(at, lines, size, d * d)
         text = "lines {i} and {j} share {n} points"
-        (meet,) = _scan(by_line, by_point, d * d, d, _pairs(line, text, 1))
+        (meet,) = first_witnesses(*_gram_rows(by_line, by_point, d * d, d), _pairs(line, text, 1))
         col = column - 1
-        join, same, apart = _scan(
-            by_point,
-            by_line,
-            size,
-            d,
+        join, same, apart = first_witnesses(
+            *_gram_rows(by_point, by_line, size, d),
             _pairs(point, "points {i} and {j} lie on {n} common lines", 1, cls=col, within=False),
             _pairs(point, "points {i} and {j} of column {c} share {n} lines", 0, cls=col),
             _pairs(point, "points {i} and {j} are disconnected", 1, size, cls=col, within=False),
@@ -466,17 +431,14 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
             )
 
         text = "lines {i} and {j} of different classes share {n} points"
-        postulate, cross, classes = _scan(
-            by_line,
-            by_point,
-            count,
-            d,
+        postulate, cross, classes = first_witnesses(
+            *_gram_rows(by_line, by_point, count, d),
             parallels,
             _pairs(line, text, 1, cls=slope, within=False),
             _pairs(line, "parallel lines {i} and {j} intersect", 0, cls=slope),
         )
         text = "points {i} and {j} lie on {n} lines"
-        (join,) = _scan(by_point, by_line, d * d, d, _pairs(point, text, 1))
+        (join,) = first_witnesses(*_gram_rows(by_point, by_line, d * d, d), _pairs(point, text, 1))
     if not ok_sizes:
         classes = f"{len(sizes)} classes with sizes {sorted(sizes.tolist())}"
     collinear = np.logical_and.reduce([(table == a).any(axis=1) for a in (0, d, 1)]).any()
@@ -531,7 +493,8 @@ def verify_duality(mod: Modulus) -> AxiomReport:
             )
 
         lines = np.arange(d * d)[:, None]
-        (bad_pencil,) = _scan(pencils, _grouped(lines, at, d * d, size), size, d, shares)
+        rows = _gram_rows(pencils, _grouped(lines, at, d * d, size), size, d)
+        (bad_pencil,) = first_witnesses(*rows, shares)
 
     distinct = np.count_nonzero(np.bincount(where))
     if distinct != size:

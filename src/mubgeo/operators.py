@@ -24,7 +24,7 @@ from .geometry import (
     format_point,
 )
 from .mub import mub_family
-from .report import AxiomReport, witness
+from .report import AxiomReport, first_witnesses, witness
 
 
 def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
@@ -221,18 +221,18 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     ]
 
 
-def _first_offending_rows(mod: Modulus, tables, check: str, tol: float) -> tuple[tuple, np.ndarray]:
-    """A check's exact deviations on its first block of rows above tol, after their first labels.
+def _first_offending_rows(mod: Modulus, check: str, tol: float, named) -> str:
+    """A check's first witness from its exact deviations, rows of points or lines in order.
 
-    The rows, points or lines, are rebuilt from the states (tables, of _tables) block by block
-    as in the sweep, O(d^3) entries at a time; if no row exceeds tol, the block is empty.
+    The rows are rebuilt from the states block by block as in the sweep, O(d^3) entries at a
+    time; named(start, devs) names a block's first deviation above tol, or gives "".
     tr(A_p A_q) = |<psi_p|psi_q>|^2 and tr(P_j A_q) = <psi_q|P_j|psi_q>, one point block at a
     time; against a line k they sum over its points that count: tr(X P_k) = sum_q tr(X A_q) -
     tr(X). The line average at p is (sum_q c_pq A_q - c_pp I) / d with c = N N^T, from the rows
     of N; the cross terms of a line are P^2 + P - sum_q |psi_q|^2 A_q, as A_q^2 = |psi_q|^2 A_q.
     """
     d = mod.d
-    states, at, first = tables
+    states, at, first = _tables(mod)
     norms = (np.abs(states) ** 2).sum(axis=1)
     points, lines = _blocks(len(states), d), _blocks(len(at), d)
 
@@ -277,12 +277,11 @@ def _first_offending_rows(mod: Modulus, tables, check: str, tol: float) -> tuple
         "op.point_gram_cases": (points, point_gram),
         "op.incidence_trace": (points, incidence_trace),
     }[check]
-    for block in rows:
-        x = _projectors(states[block]) if rows is points else _line_sums(states, at, first, block)
-        devs = deviations(block, x)
-        if not (devs <= tol).all():
-            return (block.start, 0), devs
-    return (0, 0), np.zeros(0)
+
+    def build(b):
+        return _projectors(states[b]) if rows is points else _line_sums(states, at, first, b)
+
+    return first_witnesses(rows, build, lambda b, x: named(b.start, deviations(b, x)))[0]
 
 
 def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
@@ -302,15 +301,17 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
         "c": lambda c: str(c - 1),
     }
     findings: dict[str, str] = {}
-    tables = ()  # read once, when a check needs its exact pass
     for check, devs, tol, what, kinds in _deviations(mod, eps):
-        shift = (0, 0)  # the labels of the first row and column of devs
-        if np.ndim(devs) < len(kinds) and not devs <= tol:
-            tables = tables or _tables(mod)
-            shift, devs = _first_offending_rows(mod, tables, check, tol)
-        findings[check] = findings.get(check) or witness(
-            ~(np.asarray(devs) <= tol),
-            lambda *at: what.format(*(label[k](i + s) for k, i, s in zip(kinds, at, shift)))
-            + f" {devs[at]:.3e}",
+
+        def named(start, devs):  # the first deviation above tol; devs' first row is label start
+            def text(*at):
+                names = (label[k](i + s) for k, i, s in zip(kinds, at, (start, 0)))
+                return what.format(*names) + f" {devs[at]:.3e}"
+
+            return witness(~(np.asarray(devs) <= tol), text)
+
+        exact = np.ndim(devs) < len(kinds) and not devs <= tol
+        findings[check] = findings.get(check) or (
+            _first_offending_rows(mod, check, tol, named) if exact else named(0, devs)
         )
     return AxiomReport.from_findings(mod.d, findings)

@@ -60,3 +60,19 @@ def witness(mask: np.ndarray, describe: Callable[..., str]) -> str:
     """describe(*index) at the first true entry of mask in row-major order, else ""."""
     hits = np.argwhere(mask)
     return describe(*(int(i) for i in hits[0])) if len(hits) else ""
+
+
+def first_witnesses(blocks: Iterable, rows: Callable, *tests: Callable[..., str]) -> list[str]:
+    """Each test's first witness in the rows of the blocks, read in order, or "".
+
+    rows(block) builds a block's rows and test(block, built) names their first offending
+    entry, or gives "". A test with a witness is not asked again, and once every test has
+    one no later block is built.
+    """
+    found = [""] * len(tests)
+    for block in blocks:
+        built = rows(block)
+        found = [bad or test(block, built) for bad, test in zip(found, tests)]
+        if all(found):
+            break
+    return found

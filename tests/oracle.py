@@ -32,8 +32,11 @@ from mubgeo import geometry, operators
 from mubgeo.core import DEFAULT_EPS, roots_of_unity
 from mubgeo.geometry import (
     CB_COLUMN,
-    all_lines,
-    all_points,
+    ApgPoint,
+    Line,
+    Point,
+    SlopedLine,
+    VerticalLine,
     check_line,
     check_point,
     format_line,
@@ -45,6 +48,27 @@ from mubgeo.geometry import (
 )
 from mubgeo.mub import mub_family, mub_state
 from mubgeo.report import AxiomReport, witness
+
+
+def all_points(mod):
+    """Every dual-plane point in point_index order: column by column from the reference column."""
+    return [Point(m, b) for b in range(CB_COLUMN, mod.d) for m in range(mod.d)]
+
+
+def all_lines(mod):
+    """Every dual-plane line in line_index order: lexicographic in (m_minus1, m0)."""
+    return [Line(a, m0) for a in range(mod.d) for m0 in range(mod.d)]
+
+
+def apg_points(mod):
+    """Every affine point, lexicographic in (xi, eta)."""
+    return [ApgPoint(xi, eta) for xi in range(mod.d) for eta in range(mod.d)]
+
+
+def apg_lines(mod):
+    """Every affine line in the order of M's columns: sloped ones lexicographic, then verticals."""
+    sloped = [SlopedLine(r, s) for r in range(mod.d) for s in range(mod.d)]
+    return sloped + [VerticalLine(xi) for xi in range(mod.d)]
 
 
 def point_operator(mod, point):
@@ -129,9 +153,16 @@ def quasi_from_probabilities(values, mod):
 
 
 def _over_lines(n, stack):
-    """n^T stack as one real product on its float view: per line with n = N, per point with N^T."""
-    d = stack.shape[-1]
-    return (n.T @ stack.reshape(len(stack), -1).view(float)).view(complex).reshape(-1, d, d)
+    """n^T stack, each sum gathered from its own operators: per line with n = N, per point with N^T.
+
+    The operators of each column of n are padded to the largest count with a zero operator,
+    so a nan operator reaches only the sums that hold it (a product with n would spread it).
+    """
+    counts = n.sum(axis=0).astype(int)
+    column, row = np.nonzero(n.T)  # by column, rows ascending
+    index = np.full((len(counts), counts.max()), len(stack))
+    index[column, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)] = row
+    return np.concatenate([stack, np.zeros((1,) + stack.shape[1:])])[index].sum(axis=1)
 
 
 def _first(devs, tol, what, *names):

@@ -146,29 +146,19 @@ def test_verify_refuses_a_scope_beyond_physical_memory():
     assert result.stdout == ""
 
 
-def test_verify_peak_estimate_covers_the_measured_peak():
-    # a fresh parent with one child, so RUSAGE_CHILDREN is that child's own peak (KiB)
+@pytest.mark.parametrize("scope, d", [("all", 19), ("operators", 31), ("mub", 113)])
+def test_verify_peak_estimate_covers_the_measured_peak(scope, d):
+    # a fresh parent with one child, so RUSAGE_CHILDREN is that child's own peak (KiB); at
+    # d = 113 the mub term exceeds the 64 MB floor
     code = (
         "import resource, subprocess, sys\n"
-        "argv = [sys.executable, '-m', 'mubgeo', 'verify', '--scope', 'all', '--d', '19']\n"
+        f"argv = [sys.executable, '-m', 'mubgeo', 'verify', '--scope', {scope!r}, '--d', '{d}']\n"
         "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(19, "all")
-
-
-def test_verify_operators_estimate_covers_the_measured_peak():
-    code = (
-        "import resource, subprocess, sys\n"
-        "argv = [sys.executable, '-m', 'mubgeo', 'verify', '--scope', 'operators', '--d', '31']\n"
-        "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
-        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(31, "operators")
+    assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(d, scope)
 
 
 def test_verify_operators_estimate_covers_a_failing_run():

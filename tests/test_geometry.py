@@ -3,7 +3,15 @@ import tracemalloc
 
 import pytest
 from faults import inject, replace_with
-from oracle import gram_apg_axioms, gram_dapg_axioms, gram_duality
+from oracle import (
+    all_lines,
+    all_points,
+    apg_lines,
+    apg_points,
+    gram_apg_axioms,
+    gram_dapg_axioms,
+    gram_duality,
+)
 from test_mutants import DIMS, VERIFIERS, mutants
 
 from mubgeo import geometry
@@ -15,18 +23,14 @@ from mubgeo.geometry import (
     Point,
     SlopedLine,
     VerticalLine,
-    all_lines,
-    all_points,
+    apg_incidence_matrix,
     apg_line_points,
-    apg_lines,
-    apg_points,
     check_line,
     check_point,
     duality_common_point,
     incidence_matrix,
     line_points,
     lines_through_point,
-    parallel_class,
     verify_apg_axioms,
     verify_dapg_axioms,
     verify_duality,
@@ -107,17 +111,16 @@ class TestLinesThroughPoint:
 
 
 class TestParallelClasses:
+    # the rule that verify_dapg_axioms reads for the points of each column
     def test_reference_class(self):
-        assert parallel_class(Modulus(3), -1) == (Point(0, -1), Point(1, -1), Point(2, -1))
-
-    def test_rejects_bad_column(self):
-        with pytest.raises(ValueError):
-            parallel_class(Modulus(3), 3)
+        column = geometry._unstack(geometry._parallel_class(Modulus(3), -1))
+        assert column == (Point(0, -1), Point(1, -1), Point(2, -1))
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_partition(self, d):
         mod = Modulus(d)
-        seen = [p for b in range(CB_COLUMN, d) for p in parallel_class(mod, b)]
+        columns = [geometry._parallel_class(mod, b) for b in range(CB_COLUMN, d)]
+        seen = [p for column in columns for p in geometry._unstack(column)]
         assert len(seen) == len(set(seen)) == d * (d + 1)
         assert set(seen) == set(all_points(mod))
 
@@ -132,9 +135,7 @@ class TestAffinePlane:
         assert set(pts) == {ApgPoint(2, 0), ApgPoint(2, 1), ApgPoint(2, 2)}
 
     def test_counts(self):
-        mod = Modulus(5)
-        assert len(apg_points(mod)) == 25
-        assert len(apg_lines(mod)) == 30
+        assert apg_incidence_matrix(Modulus(5)).shape == (25, 30)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

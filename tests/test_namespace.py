@@ -14,6 +14,11 @@ DELETED = {
         "incident",
         "line_to_apg_point",
         "apg_point_to_line",
+        "all_points",
+        "all_lines",
+        "apg_points",
+        "apg_lines",
+        "parallel_class",
     ],
     mub: ["MubFamily", "basis_matrix"],
     operators: [

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from faults import inject, replace_with
 from oracle import (
+    all_lines,
+    all_points,
     clifford_gates,
     dense_operator_battery,
     line_operator_stack,
@@ -19,8 +21,6 @@ from mubgeo.core import Modulus, omega_power
 from mubgeo.geometry import (
     Line,
     Point,
-    all_lines,
-    all_points,
     line_index,
     line_points,
     point_index,
@@ -472,5 +472,8 @@ def test_faulted_basis_state_is_located(monkeypatch, fresh_family, fault, failur
 
 def test_nan_state_fails_every_operator_check(monkeypatch, fresh_family):
     # a deviation that is not within its tolerance offends, nan included
+    # and the dense oracle names the same witnesses: its sums reach only the lines through (2,2)
     inject(monkeypatch, mub, "_states", (2, 2), replace_with(np.full(5, np.nan)))
-    assert [c.axiom for c in verify_operator_identities(MOD5).checks if c.ok] == []
+    report = verify_operator_identities(MOD5)
+    assert [c.axiom for c in report.checks if c.ok] == []
+    assert dense_operator_battery(MOD5)[0] == report

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_density, random_hermitian_trace_one
 import oracle
-from oracle import point_operator
+from oracle import all_lines, all_points, point_operator
 
 from mubgeo import mub, operators, phasespace
 from mubgeo.core import Modulus, hermiticity_defect
@@ -13,7 +13,7 @@ from mubgeo.errors import (
     MissingLineError,
     NonHermitianInputError,
 )
-from mubgeo.geometry import Line, Point, all_lines, all_points, lines_through_point
+from mubgeo.geometry import Line, Point, lines_through_point
 from mubgeo.operators import line_operator_direct
 from mubgeo.phasespace import (
     MubProbabilities,
