@@ -68,13 +68,15 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
     passing, at d = 101 and 211, and 99 d^3 bytes failing, at d = 101); the
     operator battery, and the exact pass that decides a failed bound of it, about
     twenty-five complex arrays of d^3 entries, one block of d labels each; the mub
-    checks four complex copies of the d+1 bases: the family, X Z^b, their product
-    and its residual (tracemalloc 64.3 (d+1) d^2 bytes at d = 113 and 151).
-    Scopes run one after another, so --scope all needs the largest, plus 64 MB
-    for the interpreter and numpy (~30 MB measured). Measured peaks of --scope
-    all: ~33 MB at d = 19, ~39 MB at d = 31; of --scope operators: ~38 MB at d =
-    31 (~39 MB with every bound failed), ~57 MB at d = 47, ~286 MB at d = 101; of
-    --scope mub: 120 MiB at d = 113, 158 MiB at d = 127, 243 MiB at d = 151.
+    checks the cached family and, for the unbiasedness check, the Grams of one
+    basis with every later basis (tracemalloc 48.1 (d+1) d^2 bytes at d = 113 and
+    151; the eigenrelation check, which moves one basis at a time, 32.1, which is
+    the family's build). Scopes run one after another, so --scope all needs the
+    largest, plus 64 MB for the interpreter and numpy (~30 MB measured). Measured
+    peaks of --scope all: ~33 MB at d = 19, ~39 MB at d = 31; of --scope
+    operators: ~38 MB at d = 31 (~39 MB with every bound failed), ~57 MB at d =
+    47, ~286 MB at d = 101; of --scope mub: 98 MiB at d = 113, 243 MiB at d =
+    151, both set by the unbiasedness check.
     """
     need = {
         "geometry": 192 * d**3,

@@ -8,19 +8,28 @@ probabilities alone: V(j) = sum over the points of j of p(point), minus 1.
 
 No operator is built. P_(a, m0) is supported on the anti-diagonal n + n' = 2a
 with phases omega^(-(n - n') m0), so the map is one length-d FFT per
-anti-diagonal and reconstruction its inverse; each basis's probabilities are
-one slice of FFT2(V) (Fourier-slice theorem), and tomography inverts that.
+anti-diagonal and reconstruction its inverse. Each basis b >= 0 is a chirp
+omega^(half(b) n(n-1)) times a DFT, so its probabilities are one FFT along each
+diagonal rho[n, n + k], read at frequency -bk and phased by
+omega^(half(b) k(k-1)), then one FFT along k: O(d^2 log d). Tomography inverts
+the pencil sums as Fourier slices of FFT2(V) (Fourier-slice theorem).
+
+A state must be positive semidefinite: no eigenvalue below -d eps. A Cholesky
+factor of rho + (d eps / 2) I proves that in O(d^3 / 3) where the shift exceeds
+the factorisation's rounding; where it does not, or the factorisation fails,
+eigvalsh decides as the only evidence, so verdicts and messages are its own.
 
 The index and phase tables of these transforms depend on d alone. Each kernel
 builds the ones it reads once per process, keeps them read-only, and holds
 them for the last four d it was called with, so that a sweep over d does not
-keep every table it built. The map and probability kernels read the
-anti-diagonal gather index, the frequency pick and the phases omega^(2ak)
-(24 d^2 + 8 d bytes); the probability and tomography kernels the slice index
-and phases (24 d (d+1) bytes); reconstruct its index (8 d^2 bytes). That is
-56 d^2 + 32 d bytes for one d, 54 KB at d = 31 and 57 MB at d = 1009. The
-tables are the arrays the kernels used to build on every call, so the
-results keep their bits.
+keep every table it built. The map kernel reads the anti-diagonal gather
+index, the frequency pick and the phases omega^(2ak) (24 d^2 + 8 d bytes); the
+probability kernel the diagonal gather, the frequency pick and the chirp phases
+(32 d^2 bytes); tomography the slice index and phases (24 d (d+1) bytes);
+reconstruct its index (8 d^2 bytes). That is 88 d^2 + 32 d bytes for one d,
+86 KB at d = 31, 14 MB at d = 401 and 90 MB at d = 1009. The tables of map,
+reconstruct and tomography are the arrays those kernels used to build on every
+call, so their results keep their bits.
 """
 
 from __future__ import annotations
@@ -152,6 +161,34 @@ def _real(vals: np.ndarray, b: np.ndarray, tol: float, what: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
+def _chirps(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal route's tables: a gather [k, n], a pick [b, k] and phases [b, k].
+
+    The gather is the flat index of rho[n, n + k]; the pick that of frequency -bk
+    in row k of a d x d table; the phases omega^(half(b) k(k-1)) / d.
+    """
+    d = mod.d
+    j = np.arange(d)
+    i = j[:, None]
+    phases = np.exp(2j * np.pi * j / d)[mod.half(i) * (j * (j - 1) % d) % d] / d
+    return _read_only(j * d + (j + i) % d, j * d + -i * j % d, phases)
+
+
+def _chirp_probabilities(mod: Modulus, rho: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> for every basis state psi as a complex (d+1) x d table [b+1, m].
+
+    Row 0 is the diagonal of rho. For b >= 0, with D[k, n] = rho[n, n + k] the k-th diagonal,
+    p(m, b) = (1/d) sum_k omega^(-km) omega^(half(b) k(k-1)) sum_n D[k, n] omega^(bnk):
+    one FFT along each diagonal, read at frequency -bk and phased, then one FFT along k.
+    """
+    gather, pick, phases = _chirps(mod)
+    vals = np.empty((mod.d + 1, mod.d), dtype=complex)
+    vals[0] = rho.diagonal()
+    np.fft.fft(np.fft.fft(rho.take(gather), axis=1).take(pick) * phases, axis=1, out=vals[1:])
+    return vals
+
+
+@lru_cache(maxsize=4)
 def _slices(mod: Modulus) -> tuple[np.ndarray, np.ndarray]:
     """Flat index into FFT2(V) and phase of frequency k of column b = -1..d-1, as [b+1, k]."""
     k = np.arange(mod.d)
@@ -199,13 +236,42 @@ def pair_expectation(first: QuasiDistribution, second: QuasiDistribution) -> flo
     return float((first.values * second.values).sum() / first.mod.d)
 
 
+def _certified_above(rho: np.ndarray, floor: float) -> bool:
+    """True when a Cholesky factor of rho + (floor/2) I proves every eigenvalue of rho > -floor.
+
+    The factor is exact for rho + (floor/2) I + E with |E|_2 below about
+    (d+1) d 2^-52 |rho + (floor/2) I|_2 (Cholesky backward error, Higham, Accuracy and
+    Stability of Numerical Algorithms, section 10.1), so a factor proves the bound only where
+    floor/2 exceeds that; elsewhere, and when the factorisation fails, this says nothing.
+    Both the factorisation and eigvalsh read the lower triangle.
+    """
+    d = len(rho)
+    shift = floor / 2
+    # |rho_lower + shift I|_2 <= |rho|_F + d eps + shift, and d eps = 2 shift
+    if shift <= (d + 1) * d * np.finfo(float).eps * (_scale(rho) + 3 * shift):
+        return False
+    shifted = rho.copy()
+    shifted.flat[:: d + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate_density_matrix(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Require a Hermitian, trace-one, positive semidefinite matrix."""
+    """Require a Hermitian, trace-one, positive semidefinite matrix.
+
+    No eigenvalue may lie below -d eps. A Cholesky certificate settles most states;
+    eigvalsh decides the rest, so a verdict and its message are those of eigvalsh alone.
+    """
     rho = as_square_matrix(matrix, mod.d)
     _check_hermitian(rho, eps, "state")
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > mod.d * eps:
         raise ValueError(f"state must have unit trace, got {trace:.12g}")
+    if _certified_above(rho, mod.d * eps):
+        return rho
     lowest = float(np.linalg.eigvalsh(rho).min())
     if lowest < -mod.d * eps:
         raise ValueError(f"state has negative eigenvalue {lowest:.6g}")
@@ -215,13 +281,11 @@ def validate_density_matrix(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> n
 def probabilities_from_state(mod: Modulus, rho, eps: float = DEFAULT_EPS) -> MubProbabilities:
     """Outcome probabilities tr(rho A) for every basis state projector A.
 
-    p(alpha) = (1/d) sum of V(j) over the lines j through alpha, so with W = FFT2(V) the FFT
-    of p(., b) is omega^(k half(b)) W[k b, k] / d, and W[k, 0] / d for b = -1.
+    Basis -1 reads the diagonal of rho; each basis b >= 0 is a chirp times a DFT, which
+    _chirp_probabilities evaluates along the diagonals of rho.
     """
     rho = validate_density_matrix(mod, rho, eps)
-    index, phases = _slices(mod)
-    vals = np.fft.ifft(np.fft.fft2(_line_coefficients(rho)).take(index) * phases, axis=1) / mod.d
-    return MubProbabilities(mod, _real(vals, rho, eps, "probabilities"))
+    return MubProbabilities(mod, _real(_chirp_probabilities(mod, rho), rho, eps, "probabilities"))
 
 
 def quasi_from_probabilities(

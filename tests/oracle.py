@@ -137,8 +137,32 @@ def reconstruct(values, mod):
     return spectrum[mod.half(n + k), (n - k) % mod.d] / mod.d
 
 
+def chirp_probabilities(mod, rho):
+    """<psi|rho|psi> as a complex (d+1) x d table: diag(rho), then for each basis b >= 0 the FFT
+    along k of omega^(half(b) k(k-1)) / d times the FFT of the diagonal rho[n, n + k] at -bk.
+    """
+    d = mod.d
+    n = np.arange(d)
+    k = n[:, None]
+    spectrum = np.fft.fft(rho[n, (n + k) % d], axis=1)
+    phases = np.exp(2j * np.pi * n / d)[mod.half(k) * (n * (n - 1) % d) % d] / d
+    vals = np.empty((d + 1, d), dtype=complex)
+    vals[0] = np.diag(rho)
+    vals[1:] = np.fft.fft(spectrum[n, -k * n % d] * phases, axis=1)
+    return vals
+
+
 def probabilities(mod, rho):
-    """p(., b) as the inverse FFT of slice b of FFT2(V), times its phases, over d."""
+    """p(m, b) by the diagonal route, real part."""
+    return chirp_probabilities(mod, rho).real
+
+
+def probabilities_by_slices(mod, rho):
+    """p(., b) as the inverse FFT of slice b of FFT2(V), times its phases, over d.
+
+    The second route: summing V over the pencil of lines through each point is a
+    discrete Radon transform, so each basis is one Fourier slice of FFT2(V).
+    """
     index, phases = slices(mod)
     return (np.fft.ifft(np.fft.fft2(line_coefficients(rho))[index] * phases, axis=1) / mod.d).real
 

@@ -125,6 +125,10 @@ def test_exactly_hermitian_input_passes_at_any_eps(rng, d):
     assert np.abs(probs.column_sums() - 1).max() <= 1e-13
 
 
+# the complex transform behind each real-valued kernel
+TRANSFORMS = {map_operator: "_line_coefficients", probabilities_from_state: "_chirp_probabilities"}
+
+
 @pytest.mark.parametrize(
     "kernel, message",
     [
@@ -133,8 +137,9 @@ def test_exactly_hermitian_input_passes_at_any_eps(rng, d):
     ],
 )
 def test_imaginary_residue_of_a_faulted_kernel_raises(monkeypatch, kernel, message):
-    original = phasespace._line_coefficients
-    monkeypatch.setattr(phasespace, "_line_coefficients", lambda b: original(b) + 1e-6j)
+    transform = TRANSFORMS[kernel]
+    original = getattr(phasespace, transform)
+    monkeypatch.setattr(phasespace, transform, lambda *args: original(*args) + 1e-6j)
     with pytest.raises(NonHermitianInputError) as exc:
         kernel(MOD5, np.eye(5) / 5)
     assert str(exc.value) == message
@@ -215,6 +220,70 @@ def test_validate_density_matrix():
     ind = np.diag([1.5, -0.5, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         validate_density_matrix(MOD3, ind)
+
+
+def _state_with_lowest(rng, d, lowest):
+    """A Hermitian state, trace 1 within rounding, whose smallest eigenvalue is lowest."""
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    spectrum = rng.uniform(0.5, 1.5, d)
+    spectrum[0] = 0
+    spectrum *= (1 - lowest) / spectrum.sum()
+    spectrum[0] = lowest
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def _eigvalsh_verdict(mod, rho, eps):
+    """The message eigvalsh alone gives a state that passed the other checks, or None."""
+    lowest = float(np.linalg.eigvalsh(rho).min())
+    return f"state has negative eigenvalue {lowest:.6g}" if lowest < -mod.d * eps else None
+
+
+@pytest.mark.parametrize("d", [5, 31])
+@pytest.mark.parametrize("eps", [1e-10, 1e-7])
+@pytest.mark.parametrize("scale", [-0.4, -0.9, -1.1, -1.5])
+def test_psd_verdict_at_the_boundary_is_that_of_eigvalsh(rng, d, eps, scale):
+    mod = Modulus(d)
+    rho = _state_with_lowest(rng, d, scale * d * eps)
+    expected = _eigvalsh_verdict(mod, rho, eps)
+    assert (expected is None) == (scale > -1)
+    # the shift d eps / 2 lifts only the first state above zero; the rest go to eigvalsh
+    assert phasespace._certified_above(rho, d * eps) == (scale > -0.5)
+    if expected is None:
+        validate_density_matrix(mod, rho, eps)
+    else:
+        with pytest.raises(ValueError) as exc:
+            validate_density_matrix(mod, rho, eps)
+        assert str(exc.value) == expected
+
+
+def test_pure_state_passes_at_large_d(rng):
+    d = 401
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    validate_density_matrix(Modulus(d), np.outer(v, v.conj()))
+
+
+def _refuse_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh was called")
+
+    monkeypatch.setattr(phasespace.np.linalg, "eigvalsh", refuse)
+
+
+@pytest.mark.parametrize("d", [5, 31])
+def test_well_conditioned_state_passes_on_the_certificate_alone(monkeypatch, rng, d):
+    rho = random_density(rng, d)
+    _refuse_eigvalsh(monkeypatch)
+    validate_density_matrix(Modulus(d), rho)
+    probabilities_from_state(Modulus(d), rho)
+
+
+def test_eps_below_the_rounding_guard_goes_to_eigvalsh(monkeypatch, rng):
+    rho = _exact_state(rng, 31)
+    _refuse_eigvalsh(monkeypatch)
+    with pytest.raises(AssertionError, match="eigvalsh was called"):
+        validate_density_matrix(Modulus(31), rho, eps=1e-18)
 
 
 def test_probabilities_from_state_examples():
@@ -325,7 +394,12 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
     quasi_from_probabilities(probabilities_from_state(mod, rho))
 
 
-CACHED_TABLES = (phasespace._line_tables, phasespace._slices, phasespace._reconstruct_index)
+CACHED_TABLES = (
+    phasespace._line_tables,
+    phasespace._chirps,
+    phasespace._slices,
+    phasespace._reconstruct_index,
+)
 
 
 def _chain(mod, rho):
@@ -345,13 +419,13 @@ def test_warm_chain_builds_no_table(rng):
 def test_tables_are_held_for_the_last_four_d_only():
     for d in (3, 5, 7, 11, 13):
         _chain(Modulus(d), np.eye(d) / d)
-    assert [cache.cache_info().currsize for cache in CACHED_TABLES] == [4, 4, 4]
+    assert [cache.cache_info().currsize for cache in CACHED_TABLES] == [4] * len(CACHED_TABLES)
 
 
 def test_cached_tables_are_read_only():
     mod = Modulus(5)
     _chain(mod, np.eye(5) / 5)
-    tables = [*phasespace._line_tables(5), *phasespace._slices(mod)]
+    tables = [*phasespace._line_tables(5), *phasespace._chirps(mod), *phasespace._slices(mod)]
     tables.append(phasespace._reconstruct_index(mod))
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
@@ -373,7 +447,17 @@ def test_kernels_equal_the_per_call_tables_bit_for_bit(rng, d):
     quasi = map_operator(mod, matrix)
     assert _same_bits(quasi.values, oracle.line_coefficients(matrix).real)
     assert _same_bits(reconstruct(quasi), oracle.reconstruct(quasi.values, mod))
+    assert _same_bits(phasespace._chirp_probabilities(mod, rho), oracle.chirp_probabilities(mod, rho))
     probs = probabilities_from_state(mod, rho)
     assert _same_bits(probs.values, oracle.probabilities(mod, rho))
     tomo = quasi_from_probabilities(probs)
     assert _same_bits(tomo.values, oracle.quasi_from_probabilities(probs.values, mod))
+
+
+@pytest.mark.parametrize("d", [3, 5, 31, 101])
+def test_probabilities_agree_with_the_fourier_slice_route(rng, d):
+    mod = Modulus(d)
+    rho = random_density(rng, d)
+    bound = 1e-13 * d * max(1.0, np.linalg.norm(rho))
+    slices = oracle.probabilities_by_slices(mod, rho)
+    assert np.abs(probabilities_from_state(mod, rho).values - slices).max() <= bound

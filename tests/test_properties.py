@@ -126,6 +126,24 @@ def test_probabilities_match_basis_diagonals(dg):
 
 
 @deterministic
+@given(square(PRIMES), st.data())
+def test_probability_covariance(dg, data):
+    # Z^-c shifts state m of basis b >= 0 to m + c; X^-a shifts it to m - ab, and e_m to e_(m-a)
+    d, g = dg
+    mod = Modulus(d)
+    a, c = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    rho = state(g)
+    z, x = np.linalg.matrix_power(z_matrix(mod), c), np.linalg.matrix_power(x_matrix(mod), a)
+    p = probabilities_from_state(mod, rho).values
+    moved = probabilities_from_state(mod, z @ rho @ z.conj().T).values
+    expected = np.vstack([p[0], np.roll(p[1:], -c, axis=1)])
+    assert np.abs(moved - expected).max() <= tol(d, rho)
+    moved = probabilities_from_state(mod, x @ rho @ x.conj().T).values
+    expected = np.vstack([np.roll(p[0], a)] + [np.roll(p[b + 1], a * b % d) for b in range(d)])
+    assert np.abs(moved - expected).max() <= tol(d, rho)
+
+
+@deterministic
 @given(table(ORACLE_PRIMES))
 def test_tomography_is_incidence_sum_on_any_normalised_table(dt):
     d, t = dt
