@@ -169,7 +169,7 @@ def _chirps(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     d = mod.d
     j = np.arange(d)
-    i = j[:, None]
+    i = j[:, None]  # the row: k of the gather, b of the pick and phases
     phases = np.exp(2j * np.pi * j / d)[mod.half(i) * (j * (j - 1) % d) % d] / d
     return _read_only(j * d + (j + i) % d, j * d + -i * j % d, phases)
 
@@ -247,7 +247,8 @@ def _certified_above(rho: np.ndarray, floor: float) -> bool:
     """
     d = len(rho)
     shift = floor / 2
-    # |rho_lower + shift I|_2 <= |rho|_F + d eps + shift, and d eps = 2 shift
+    # the lower triangle is within floor of rho in Frobenius norm (entries Hermitian within
+    # eps = floor / d), so |rho_lower + shift I|_2 <= |rho|_F + 3 shift
     if shift <= (d + 1) * d * np.finfo(float).eps * (_scale(rho) + 3 * shift):
         return False
     shifted = rho.copy()

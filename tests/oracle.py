@@ -8,7 +8,8 @@ operator as the sum of its d+1 incident projectors minus the identity, and
 every point and line operator stacked in point_index and line_index order.
 It also builds the two Clifford gates that permute the line operators, and
 evaluates the phase-space kernels with every index and phase table built anew
-on each call, which the package's cached tables must match bit for bit.
+on each call, which the package's cached tables must match bit for bit, and
+keeps the Fourier-slice route of the basis probabilities as a second route.
 
 dense_operator_battery is the exhaustive operator battery: every identity held
 entry by entry on the dense d(d+1) x d x d stacks and the (d(d+1))^2 Grams,
@@ -143,12 +144,12 @@ def chirp_probabilities(mod, rho):
     """
     d = mod.d
     n = np.arange(d)
-    k = n[:, None]
-    spectrum = np.fft.fft(rho[n, (n + k) % d], axis=1)
-    phases = np.exp(2j * np.pi * n / d)[mod.half(k) * (n * (n - 1) % d) % d] / d
+    spectrum = np.fft.fft(rho[n, (n + n[:, None]) % d], axis=1)  # [k, frequency]
+    b, k = n[:, None], n
+    phases = np.exp(2j * np.pi * n / d)[mod.half(b) * (k * (k - 1) % d) % d] / d
     vals = np.empty((d + 1, d), dtype=complex)
     vals[0] = np.diag(rho)
-    vals[1:] = np.fft.fft(spectrum[n, -k * n % d] * phases, axis=1)
+    vals[1:] = np.fft.fft(spectrum[k, -b * k % d] * phases, axis=1)
     return vals
 
 
