@@ -66,17 +66,19 @@ def _verify_peak_bytes(d: int, scope: str) -> int:
     hold a few sorted integer tables of the d^3 incidences, and a failing check d
     rows of a Gram of N or M at a time (tracemalloc peaks of at most 66 d^3 bytes
     passing, at d = 101 and 211, and 99 d^3 bytes failing, at d = 101); the
-    operator battery, and the exact pass that decides a failed bound of it, about
-    twenty-five complex arrays of d^3 entries, one block of d labels each; the mub
-    checks the cached family and, for the unbiasedness check, the Grams of one
-    basis with every later basis (tracemalloc 48.1 (d+1) d^2 bytes at d = 113 and
-    151; the eigenrelation check, which moves one basis at a time, 32.1, which is
-    the family's build). Scopes run one after another, so --scope all needs the
-    largest, plus 64 MB for the interpreter and numpy (~30 MB measured). Measured
-    peaks of --scope all: ~33 MB at d = 19, ~39 MB at d = 31; of --scope
-    operators: ~38 MB at d = 31 (~39 MB with every bound failed), ~57 MB at d =
-    47, ~286 MB at d = 101; of --scope mub: 98 MiB at d = 113, 243 MiB at d =
-    151, both set by the unbiasedness check.
+    operator battery, and the exact pass that decides a failed bound of it, a
+    handful of complex arrays of d^3 entries, one block of d labels each
+    (tracemalloc 149-157 d^3 bytes at d = 31..61, passing and failing alike,
+    against the 400 d^3 allowed); the mub checks the cached family and, for the
+    unbiasedness check, the Grams of one basis with every later basis
+    (tracemalloc 48.1 (d+1) d^2 bytes at d = 113 and 151; the eigenrelation
+    check, which moves one basis at a time, 32.1, which is the family's build).
+    Scopes run one after another, so --scope all needs the largest, plus 64 MB
+    for the interpreter and numpy (~30 MB measured). Measured peaks of --scope
+    all: ~32 MB at d = 19, ~38 MB at d = 31; of --scope operators: ~37 MB at d =
+    31 (~37 MB with every bound failed), ~49 MB at d = 47, ~224 MB at d = 101;
+    of --scope mub: 98 MiB at d = 113, 243 MiB at d = 151, both set by the
+    unbiasedness check.
     """
     need = {
         "geometry": 192 * d**3,

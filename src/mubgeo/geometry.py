@@ -303,6 +303,16 @@ def _is_net(rows: np.ndarray) -> bool:
     return True
 
 
+def _has_plane_counts(at: np.ndarray) -> bool:
+    """Whether each line of at holds one point per column and the lines form a net.
+
+    Then N N^T holds the plane's collinearity counts: d on its diagonal, 0 between two
+    points of one column and 1 across two columns.
+    """
+    d = at.shape[1] - 1
+    return bool((at // d == np.arange(d + 1)).all()) and _is_net(at % d)
+
+
 def _sorted_points(mod: Modulus, indices: np.ndarray) -> list[Point]:
     return sorted(Point(i % mod.d, i // mod.d - 1) for i in indices.tolist())
 
@@ -348,7 +358,7 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     )
 
     distinct, meet, join, same, apart = d * d, "", "", "", ""
-    if not ((at // d == np.arange(d + 1)).all() and _is_net(at % d)):
+    if not _has_plane_counts(at):
         ordered[:, 1:][np.diff(ordered, axis=1) == 0] = -1  # a repeated point counts once
         distinct = len(np.unique(np.sort(ordered, axis=1), axis=0))
         by_line, by_point = _grouped(lines, at, d * d, size), _grouped(at, lines, size, d * d)

@@ -51,9 +51,12 @@ def _states(mod: Modulus, m, b) -> np.ndarray:
     return np.where(b == CB_COLUMN, n == m, chirp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def mub_family(mod: Modulus) -> np.ndarray:
-    """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m]."""
+    """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m].
+
+    The family takes 16 (d+1) d^2 bytes, so only the last four d are kept.
+    """
     states = _states(mod, np.arange(mod.d), np.arange(CB_COLUMN, mod.d)[:, None])  # [b+1, m, n]
     family = np.ascontiguousarray(np.swapaxes(states, 1, 2))
     family.setflags(write=False)

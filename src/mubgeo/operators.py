@@ -17,6 +17,7 @@ from .geometry import (
     CB_COLUMN,
     Line,
     Point,
+    _has_plane_counts,
     _line_point_index,
     check_line,
     check_point,
@@ -122,17 +123,18 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
 
     A point block is a column b, a line block the d lines with one m_minus1;
     each holds O(d^3) entries. Each line operator is built from the states of
-    the distinct points on its row, as Psi^T conj(Psi) - I, and held to the
-    anti-diagonal route in the same pass as its Hermiticity, trace, square and
-    the running sum. The rest is read off that structure:
-    tr(A_p A_q) = |<psi_p|psi_q>|^2, A_p^2 - A_p = (|psi_p|^2 - 1) A_p. Once
-    the line routes agree to delta, tr(P_j P_k) is that of the routes, which
-    vanishes across two m_minus1, within 2 d delta + (d delta)^2;
-    <psi|P_(a, m0)|psi> over every m0 is one length-d DFT of an anti-diagonal
-    of A on the route, within delta |psi|_1^2; and the cross terms are the
-    square's deviation plus the norms'. The line average at a point sums the
-    column sums when the collinearity counts are those of the plane.
-    op.point_projector has two bounds, law then trace.
+    the distinct points on its row, as Psi^T conj(Psi) - I, and only the two
+    route checks read the direct routes. The rest is read off the objects each
+    identity is about: tr(A_p A_q) = |<psi_p|psi_q>|^2, A_p^2 - A_p =
+    (|psi_p|^2 - 1) A_p. Each P_j splits into D_j, its part on the
+    anti-diagonal n + n' = 2 m_minus1, and the rest E_j. tr(D_j D_k) vanishes
+    across two m_minus1, and |tr(XY)| <= |X|_F |Y|_F, so tr(P_j P_k) is
+    tr(D_j D_k) within 2 |D|_F |E|_F + |E|_F^2, and <psi|P_j|psi> is
+    <psi|D_j|psi> within |E|_F |psi|^2, each with the largest norms over the
+    lines. The cross terms are the square's deviation plus the norms'. The line
+    average at a point sums the column sums when the collinearity counts are
+    those of the plane (geometry._has_plane_counts). op.point_projector has two
+    bounds, law then trace.
 
     The deviation is one per (p)oint, (l)ine or (c)olumn where the sweep measures the
     check's own formula, else one number: a total, a bound, or a Gram's largest entry.
@@ -144,63 +146,53 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     size = np.abs(states)
     norms = (size * size).sum(axis=1)
     labels = np.arange(d)
-    plus, minus = (labels[:, None] + labels) % d, (labels[:, None] - labels) % d  # [a, t]
-    dft = np.array(roots_of_unity(d))[-2 * labels[:, None] * labels % d]  # [t, m0]
-    incident = np.argsort(at, axis=None, kind="stable")  # entries of at by point
-    incident_points = at.ravel()[incident]
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
     columns = np.empty((d + 1, d, d), dtype=complex)
-    point_gram = incidence = 0.0
-    counts_hold = bool((at // d == np.arange(d + 1)).all())  # one point per column, none twice
+    point_gram = 0.0
     for c, block in enumerate(_blocks(len(states), d)):  # column b = c - 1
         psi = states[block]
         a = _projectors(psi)
-        route = _point_operators(mod, labels, c - 1)
         per_point[0, block] = _each(a - a.conj().transpose(0, 2, 1))
         per_point[1, block] = np.abs(a.trace(axis1=1, axis2=2) - 1.0)
-        per_point[2, block] = _each(a - route)
+        per_point[2, block] = _each(a - _point_operators(mod, labels, c - 1))
         columns[c] = a.sum(axis=0)
         overlaps = np.abs(psi.conj() @ states[block.start :].T) ** 2 - 1 / d  # with later columns
         overlaps[:, :d] += 1 / d - eye
         point_gram = np.maximum(point_gram, np.abs(overlaps).max())
-        # <psi|P_(a, m0)|psi> = sum_t A[a - t, a + t] omega^(-2 t m0) on the route
-        traces = (a[:, minus, plus].reshape(-1, d) @ dft).reshape(len(psi), -1)  # [point, line]
-        lo, hi = np.searchsorted(incident_points, [block.start, block.stop])
-        traces[incident_points[lo:hi] - block.start, incident[lo:hi] // (d + 1)] -= 1.0
-        incidence = np.maximum(incidence, np.abs(traces).max())
-        if counts_hold:  # lines through both p and q, for each p of the block
-            pairs = (at[:, c, None] - block.start) * len(states) + at
-            counts = np.bincount(pairs.ravel(), minlength=d * len(states))
-            expected = np.ones((d, len(states)))
-            expected[:, block] += d * eye - 1
-            counts_hold = np.array_equal(counts.reshape(d, -1), expected)
 
     per_line = np.empty((4, len(at)))  # Hermiticity, trace, square, route
+    frobenius = np.empty((2, len(at)))  # of D_j and of E_j
     line_total = np.zeros((d, d), dtype=complex)
-    line_gram = 0.0
+    line_gram = incidence = 0.0
     for m_minus1, block in enumerate(_blocks(len(at), d)):
         p = _line_sums(states, at, first, block)
-        route = _line_operators(mod, np.full(d, m_minus1), labels)
         per_line[0, block] = _each(p - p.conj().transpose(0, 2, 1))
         per_line[1, block] = np.abs(p.trace(axis1=1, axis2=2) - 1.0)
         per_line[2, block] = _each(p @ p - eye)
-        per_line[3, block] = _each(p - route)
+        per_line[3, block] = _each(p - _line_operators(mod, np.full(d, m_minus1), labels))
         line_total += p.sum(axis=0)
-        # tr(D_j D_k) = sum_n D_j[n, 2a - n] D_k[2a - n, n] within one m_minus1 a, 0 across
         partner = (2 * m_minus1 - labels) % d
-        forward, back = route[:, labels, partner], route[:, partner, labels]
-        line_gram = np.maximum(line_gram, np.abs(forward @ back.T - d * eye).max())
+        diag = p[:, labels, partner]  # D_j[n, 2a - n]
+        # tr(D_j D_k) = sum_n D_j[n, 2a - n] D_k[2a - n, n] within one m_minus1 a
+        line_gram = np.maximum(line_gram, np.abs(diag @ diag[:, partner].T - d * eye).max())
+        # <psi_q|D_j|psi_q> = sum_n conj(psi_q[n]) D_j[n, 2a - n] psi_q[2a - n], less N
+        traces = (states.conj() * states[:, partner]) @ diag.T  # [point, line]
+        traces[at[block], labels[:, None]] -= 1.0  # a point repeated on a row counts once
+        incidence = np.maximum(incidence, np.abs(traces).max())
+        frobenius[0, block] = np.linalg.norm(diag, axis=1)
+        p[:, labels, partner] = 0  # E_j
+        frobenius[1, block] = np.linalg.norm(p, axis=(1, 2))
 
     law = np.abs(norms - 1) * size.max(axis=1) ** 2  # the largest entry of A_p^2 - A_p
-    delta = per_line[3].max()  # how far the line operators are from their routes
     total = columns.sum(axis=0)
     resolution = _each(columns - eye)
-    averages = _each(total - columns - d * eye).repeat(d) / d if counts_hold else np.inf
+    averages = _each(total - columns - d * eye).repeat(d) / d if _has_plane_counts(at) else np.inf
     sums = np.abs(total - (d + 1) * eye).max(), np.abs(line_total - d * eye).max()
-    line_gram += 2 * d * delta + (d * delta) ** 2  # from the routes to the line operators
+    on_diagonal, off_diagonal = frobenius.max(axis=1)
+    line_gram += (2 * on_diagonal + off_diagonal) * off_diagonal
     cross_terms = (per_line[2] + law[at].sum(axis=1)).max()
-    incidence += delta * (size.sum(axis=1) ** 2).max()
+    incidence += off_diagonal * norms.max()
     return [
         ("op.point_hermitian", per_point[0], eps, "point operator {} deviates by", "p"),
         ("op.line_hermitian", per_line[0], eps, "line operator {} deviates by", "l"),
@@ -288,8 +280,8 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     """Check every algebraic identity the operator families satisfy, block by block.
 
     The projectors and the line operators are built from the states and held to
-    the direct routes; the rest is read off that structure (_deviations), in
-    O(d^3) entries and O(d^5) time. Summed identities are held to d*eps, floored
+    the direct routes; the rest is read off them, not off the routes (_deviations),
+    in O(d^3) entries and O(d^5) time. Summed identities are held to d*eps, floored
     at 16 d^2 2^-52: their rounding alone reached 3.2 d^2 2^-52 over d = 3..47
     (op.global_sum at d = 41). The routes and the Hermiticity are held to eps.
     A failing check names its first offending label, or pair, in label order and

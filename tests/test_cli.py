@@ -163,9 +163,11 @@ def test_verify_peak_estimate_covers_the_measured_peak(scope, d):
 
 def test_verify_operators_estimate_covers_a_failing_run():
     # a scaled state and a shifted row of a line fail every bound of the sweep, so each exact
-    # pass runs; the child has no monkeypatch fixture, so plain setattr patches its modules
-    code = (
-        "import resource, sys\n"
+    # pass runs; the faulted child has no monkeypatch fixture, so plain setattr patches its
+    # modules. As above, a fresh parent reads the child's own peak off RUSAGE_CHILDREN: a child
+    # of pytest would report pytest's peak, which exec folds into the child's ru_maxrss
+    faulted = (
+        "import sys\n"
         "from types import SimpleNamespace\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from faults import inject\n"
@@ -177,13 +179,19 @@ def test_verify_operators_estimate_covers_a_failing_run():
         "patch = SimpleNamespace(setattr=setattr)\n"
         "inject(patch, mub, '_states', (2, 2), scale)\n"
         "inject(patch, geometry, '_line_points', (1, 2), shift)\n"
-        "status = cli.main(['verify', '--scope', 'operators', '--d', '31'])\n"
-        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(cli.main(['verify', '--scope', 'operators', '--d', '31']))\n"
+    )
+    code = (
+        "import resource, subprocess, sys\n"
+        f"argv = [sys.executable, '-c', {faulted!r}]\n"
+        "child = subprocess.run(argv, capture_output=True, text=True)\n"
+        "sys.stderr.write(child.stderr)\n"
+        "print(child.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "2/15 checks passed" in result.stderr
-    status, peak_kib = result.stdout.splitlines()[-1].split()
+    status, peak_kib = result.stdout.split()
     assert status == "1"
     assert int(peak_kib) * 1024 <= cli._verify_peak_bytes(31, "operators")
 

@@ -98,6 +98,12 @@ def test_family_layout():
                 assert np.array_equal(fam[b + 1][:, m], mub_state(mod, b, m))
 
 
+def test_family_is_held_for_the_last_four_d_only():
+    for d in (3, 5, 7, 11, 13):
+        mub_family(Modulus(d))
+    assert mub_family.cache_info().currsize == 4
+
+
 def test_family_arrays_are_frozen():
     fam = mub_family(Modulus(3))
     with pytest.raises(ValueError):

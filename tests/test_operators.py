@@ -340,25 +340,54 @@ def test_battery_at_d13_holds_one_column_at_a_time():
     assert peak < 2**20
 
 
-def test_failing_battery_holds_no_dense_stack(monkeypatch):
-    # the faulted route fails the line_gram and incidence_trace bounds, whose exact passes
-    # then clear them, block by block; the whole run stays below the same 76 MB
+def _scale(answer):
+    answer[0] *= 1 + 1e-6
+
+
+def _count_exact_passes(monkeypatch):
+    """Patch operators._first_offending_rows to record the check of each call; return the list."""
+    checks, exact = [], operators._first_offending_rows
+
+    def counted(mod, check, *args):
+        checks.append(check)
+        return exact(mod, check, *args)
+
+    monkeypatch.setattr(operators, "_first_offending_rows", counted)
+    return checks
+
+
+def test_line_route_fault_fails_only_its_route_check(monkeypatch):
+    # the line Gram and the incidence traces are read off the line operators, not the routes,
+    # so a faulted route passes their bounds and no exact pass runs
+    inject(monkeypatch, operators, "_line_operators", (1, 2), _scale)
+    exact = _count_exact_passes(monkeypatch)
+    report = verify_operator_identities(Modulus(13))
+    failures = [(c.axiom, c.counterexample) for c in report.checks if not c.ok]
+    assert failures == [("op.line_route_equality", "line routes at (1,2) deviates by 1.000e-06")]
+    assert exact == []
+
+
+def test_failing_battery_holds_no_dense_stack(monkeypatch, fresh_family):
+    # a scaled state fails the bounds of the sweep, whose exact passes then decide them, block
+    # by block; the whole run stays below the same 76 MB
     d = 47
     mod = Modulus(d)
+    inject(monkeypatch, mub, "_states", (2, 2), _scale)
     mub.mub_family(mod)
-
-    def scale(answer):
-        answer[0] *= 1 + 1e-6
-
-    inject(monkeypatch, operators, "_line_operators", (1, 2), scale)
+    exact = _count_exact_passes(monkeypatch)
     tracemalloc.start()
     try:
         report = verify_operator_identities(mod)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    failures = [(c.axiom, c.counterexample) for c in report.checks if not c.ok]
-    assert failures == [("op.line_route_equality", "line routes at (1,2) deviates by 1.000e-06")]
+    assert not report.passed
+    assert exact == [
+        "op.line_gram",
+        "op.cross_term_distillation",
+        "op.point_gram_cases",
+        "op.incidence_trace",
+    ]
     assert peak < 16 * d * (d + 1) * d * d
 
 
@@ -388,10 +417,7 @@ def fresh_family():
 
 
 def _scaled(monkeypatch):
-    def scale(answer):
-        answer[0] *= 1 + 1e-6
-
-    inject(monkeypatch, mub, "_states", (2, 2), scale)
+    inject(monkeypatch, mub, "_states", (2, 2), _scale)
 
 
 def _zeroed(monkeypatch):
