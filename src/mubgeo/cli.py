@@ -59,46 +59,43 @@ def _resolve_eps(args) -> float:
     return eps
 
 
-def _verify_peak_bytes(d: int, scope: str) -> int:
-    """An upper estimate, in bytes, of the peak memory of verify at d, passing or failing.
+def _peak_bytes(d: int, command: str, scope: str) -> int:
+    """An upper estimate, in bytes, of the peak memory of a command and scope at d.
 
-    Counted from the largest arrays alive at once: the geometry and duality checks
-    hold a few sorted integer tables of the d^3 incidences, and a failing check d
-    rows of a Gram of N or M at a time (tracemalloc peaks of at most 66 d^3 bytes
-    passing, at d = 101 and 211, and 99 d^3 bytes failing, at d = 101); the
-    operator battery, and the exact pass that decides a failed bound of it, a
-    handful of complex arrays of d^3 entries, one block of d labels each
-    (tracemalloc 149-157 d^3 bytes at d = 31..61, passing and failing alike,
-    against the 400 d^3 allowed); the mub checks the cached family and, for the
-    unbiasedness check, the Grams of one basis with every later basis
-    (tracemalloc 48.1 (d+1) d^2 bytes at d = 113 and 151; the eigenrelation
+    Counted from the largest arrays alive at once, passing or failing, plus 64 MB
+    for the interpreter and numpy (~30 MB measured). Of verify: the geometry and
+    duality checks hold a few sorted integer tables of the d^3 incidences, and a
+    failing check d rows of a Gram of N or M at a time (tracemalloc peaks of at
+    most 66 d^3 bytes passing, at d = 101 and 211, and 99 d^3 bytes failing, at
+    d = 101); the operator battery, and the exact pass that decides a failed
+    bound of it, a handful of complex arrays of d^3 entries, one block of d
+    labels each (tracemalloc ~132-139 d^3 bytes at d = 31..61, passing and
+    failing alike, against the 400 d^3 allowed); the mub checks the cached family
+    and, for the unbiasedness check, the Grams of one basis with every later
+    basis (tracemalloc 48.1 (d+1) d^2 bytes at d = 113 and 151; the eigenrelation
     check, which moves one basis at a time, 32.1, which is the family's build).
-    Scopes run one after another, so --scope all needs the largest, plus 64 MB
-    for the interpreter and numpy (~30 MB measured). Measured peaks of --scope
-    all: ~32 MB at d = 19, ~38 MB at d = 31; of --scope operators: ~37 MB at d =
-    31 (~37 MB with every bound failed), ~49 MB at d = 47, ~224 MB at d = 101;
-    of --scope mub: 98 MiB at d = 113, 243 MiB at d = 151, both set by the
-    unbiasedness check.
+    Scopes run one after another, so --scope all needs the largest. Measured
+    peaks of --scope all: ~32 MB at d = 19, ~38 MB at d = 31; of --scope
+    operators: ~37 MB at d = 31 (~37 MB with every bound failed), ~49 MB at d =
+    47, ~224 MB at d = 101; of --scope mub: 98 MiB at d = 113, 243 MiB at d =
+    151, both set by the unbiasedness check.
+
+    Of show operator, 160 d^2: the JSON text of the matrix sets the peak, ~117
+    bytes per entry for a point operator, whose entries all print 17 digits:
+    wait4 peaks of show operator --alpha 1,2 were 50, 164 and 498 MiB at d =
+    401, 1009, 2003 (--j 1,2: 33, 64 and 147 MiB). The point rule itself holds
+    one int64 exponent table and two complex matrices, ~153 MiB at d = 2003.
     """
     need = {
-        "geometry": 192 * d**3,
-        "duality": 192 * d**3,
-        "mub": 64 * (d + 1) * d * d,
-        "operators": 400 * d**3,
-    }
-    return 64 * 2**20 + max(need.values() if scope == "all" else [need[scope]])
-
-
-def _operator_peak_bytes(d: int) -> int:
-    """An upper estimate, in bytes, of the peak memory of show operator at d: 64 MB + 160 d^2.
-
-    The JSON text of the matrix sets the peak, ~117 bytes per entry for a point
-    operator, whose entries all print 17 digits: wait4 peaks of show operator
-    --alpha 1,2 were 50, 164 and 498 MiB at d = 401, 1009, 2003 (--j 1,2: 33,
-    64 and 147 MiB). The point rule itself holds one int64 exponent table and
-    two complex matrices, ~153 MiB at d = 2003.
-    """
-    return 64 * 2**20 + 160 * d * d
+        "verify": {
+            "geometry": 192 * d**3,
+            "duality": 192 * d**3,
+            "mub": 64 * (d + 1) * d * d,
+            "operators": 400 * d**3,
+        },
+        "show": {"operator": 160 * d * d},
+    }[command]
+    return 64 * 2**20 + (max(need.values()) if scope == "all" else need[scope])
 
 
 def _refuse_beyond_memory(what: str, need: int) -> None:
@@ -150,7 +147,7 @@ def cmd_verify(args) -> int:
             " of the point Gram cases could no longer fail"
         )
     what = f"verify --scope {args.scope} at d={mod.d}"
-    _refuse_beyond_memory(what, _verify_peak_bytes(mod.d, args.scope))
+    _refuse_beyond_memory(what, _peak_bytes(mod.d, "verify", args.scope))
     reports = []
     if args.scope in ("geometry", "all"):
         reports.append(verify_dapg_axioms(mod))
@@ -188,7 +185,7 @@ def cmd_show(args) -> int:
     elif args.kind == "operator":
         if (args.j is None) == (args.alpha is None):
             raise ValueError("show operator needs exactly one of --j or --alpha")
-        _refuse_beyond_memory(f"show operator at d={mod.d}", _operator_peak_bytes(mod.d))
+        _refuse_beyond_memory(f"show operator at d={mod.d}", _peak_bytes(mod.d, "show", "operator"))
         if args.j is not None:
             matrix = line_operator_direct(mod, _parse_line_label(mod, args.j))
         else:

@@ -70,17 +70,22 @@ def _first(label, ok):
     return type(label)(*(np.broadcast_to(f, ok.shape).flat[np.argmin(ok)].item() for f in label))
 
 
+def _integral(*fields) -> bool:
+    """Whether every field is an integer, or an array of them; a bool is not one."""
+    return all(np.asarray(f).dtype.kind in "iu" for f in fields)
+
+
 def check_point(mod: Modulus, point: Point) -> None:
-    """Raise ValueError unless every point is valid; the fields may be arrays."""
+    """Raise ValueError unless every point is valid; the fields may be integer arrays."""
     ok = (0 <= point.m) & (point.m < mod.d) & (CB_COLUMN <= point.b) & (point.b < mod.d)
-    if not np.all(ok):
+    if not (_integral(*point) and np.all(ok)):
         raise ValueError(f"invalid point label {format_point(_first(point, ok))} for d={mod.d}")
 
 
 def check_line(mod: Modulus, line: Line) -> None:
-    """Raise ValueError unless every line is valid; the fields may be arrays."""
+    """Raise ValueError unless every line is valid; the fields may be integer arrays."""
     ok = (0 <= line.m_minus1) & (line.m_minus1 < mod.d) & (0 <= line.m0) & (line.m0 < mod.d)
-    if not np.all(ok):
+    if not (_integral(*line) and np.all(ok)):
         raise ValueError(f"invalid line label {format_line(_first(line, ok))} for d={mod.d}")
 
 
@@ -148,14 +153,15 @@ def _apg_line(mod: Modulus, r, s) -> ApgLine:
 def _slope_intercept(mod: Modulus, apg_line: ApgLine) -> tuple[int, int]:
     """The fields (r, s) that the array rules take for a valid affine line; r = d for xi = s."""
     if isinstance(apg_line, VerticalLine):
-        if not 0 <= apg_line.xi < mod.d:
+        if not (_integral(apg_line.xi) and 0 <= apg_line.xi < mod.d):
             raise ValueError(f"invalid vertical line xi={apg_line.xi} for d={mod.d}")
         return mod.d, apg_line.xi
     if not isinstance(apg_line, SlopedLine):
         raise TypeError(f"not an affine line: {apg_line!r}")
-    if not (0 <= apg_line.r < mod.d and 0 <= apg_line.s < mod.d):
-        raise ValueError(f"invalid sloped line (r={apg_line.r}, s={apg_line.s}) for d={mod.d}")
-    return apg_line.r, apg_line.s
+    r, s = apg_line.r, apg_line.s
+    if not (_integral(r, s) and 0 <= r < mod.d and 0 <= s < mod.d):
+        raise ValueError(f"invalid sloped line (r={r}, s={s}) for d={mod.d}")
+    return r, s
 
 
 def apg_line_points(mod: Modulus, apg_line: ApgLine) -> tuple[ApgPoint, ...]:
@@ -474,7 +480,9 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     points sending parallel classes onto columns (slope r to column -r mod d,
     verticals to the reference column); and the pencil through a fixed affine
     point maps exactly onto the point set of its dual line. The pencils are
-    read one parallel class, d x d x (d+1) points, at a time.
+    counted (rows of M^T N^T) only when the round trip, the bijection, or the
+    distinctness of the d points of each affine line and of the lines fails; else
+    a second point shared by the pencil of k, the common point of k', puts k on k'.
     """
     d = mod.d
     size = d * (d + 1)
@@ -484,27 +492,10 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     common = _common_point(mod, *labels)
     where = point_index(mod, common)
 
-    def alone(start):  # the lines of each pencil share one point, its common point
-        pencil = at[table[start : start + d]]  # [pencil, line, b + 1]
-        constant = (pencil == pencil[:, :1]).all(axis=1)  # a shared point is a constant column
-        ok = (constant.sum(axis=1) == 1).all()
-        return ok and (pencil[:, 0][constant] == where[start : start + d]).all()
-
-    bad_pencil = ""
-    if not ((at // d == np.arange(d + 1)).all() and all(map(alone, range(0, len(table), d)))):
-        pencils = _grouped(np.arange(len(table))[:, None], table, len(table), d * d)
-
-        def shares(rows, g):  # the points on every distinct line of the pencil, as M counts them
-            full = g == np.diff(pencils[0])[rows][:, None]
-            return witness(
-                (full != (np.arange(size) == where[rows][:, None])).any(axis=1),
-                lambda i: f"pencil of {_apg_line(mod, *labels[:, rows[i]])!r} shares"
-                f" {_sorted_points(mod, np.flatnonzero(full[i]))}",
-            )
-
-        lines = np.arange(d * d)[:, None]
-        rows = _gram_rows(pencils, _grouped(lines, at, d * d, size), size, d)
-        (bad_pencil,) = first_witnesses(*rows, shares)
+    ordered = np.sort(table, axis=1)
+    ordered = ordered[np.lexsort(ordered.T[::-1])]  # the point sets of the affine lines, sorted
+    apart = (ordered[:, 1:] != ordered[:, :-1]).all() and (ordered[1:] != ordered[:-1]).any(1).all()
+    del ordered
 
     distinct = np.count_nonzero(np.bincount(where))
     if distinct != size:
@@ -527,6 +518,21 @@ def verify_duality(mod: Modulus) -> AxiomReport:
         lambda a: f"pencil through ({a // d},{a % d}) maps onto"
         f" {_sorted_points(mod, image[image // size == a] % size)}",
     )
+
+    bad_pencil = ""
+    if not (apart and distinct == size and not differs.any()):
+        pencils = _grouped(np.arange(len(table))[:, None], table, len(table), d * d)
+
+        def shares(rows, g):  # the points on every distinct line of the pencil, as M counts them
+            full = g == np.diff(pencils[0])[rows][:, None]
+            return witness(
+                (full != (np.arange(size) == where[rows][:, None])).any(axis=1),
+                lambda i: f"pencil of {_apg_line(mod, *labels[:, rows[i]])!r} shares"
+                f" {_sorted_points(mod, np.flatnonzero(full[i]))}",
+            )
+
+        rows = _gram_rows(pencils, _grouped(np.arange(d * d)[:, None], at, d * d, size), size, d)
+        (bad_pencil,) = first_witnesses(*rows, shares)
 
     return AxiomReport.from_findings(
         d,

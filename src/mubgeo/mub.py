@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DEFAULT_EPS, Modulus, roots_of_unity
-from .geometry import CB_COLUMN
+from .geometry import CB_COLUMN, _integral
 from .report import AxiomReport, witness
 
 
@@ -35,7 +35,7 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
     taken mod d, with n(n-1) reduced first so that it stays below d^2.
     """
     d = mod.d
-    if not (CB_COLUMN <= b < d and 0 <= m < d):
+    if not (_integral(b, m) and CB_COLUMN <= b < d and 0 <= m < d):
         raise ValueError(f"invalid state label (m={m}, b={b}) for d={d}")
     return _states(mod, m, b)
 

@@ -126,15 +126,16 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     the distinct points on its row, as Psi^T conj(Psi) - I, and only the two
     route checks read the direct routes. The rest is read off the objects each
     identity is about: tr(A_p A_q) = |<psi_p|psi_q>|^2, A_p^2 - A_p =
-    (|psi_p|^2 - 1) A_p. Each P_j splits into D_j, its part on the
-    anti-diagonal n + n' = 2 m_minus1, and the rest E_j. tr(D_j D_k) vanishes
-    across two m_minus1, and |tr(XY)| <= |X|_F |Y|_F, so tr(P_j P_k) is
-    tr(D_j D_k) within 2 |D|_F |E|_F + |E|_F^2, and <psi|P_j|psi> is
-    <psi|D_j|psi> within |E|_F |psi|^2, each with the largest norms over the
-    lines. The cross terms are the square's deviation plus the norms'. The line
-    average at a point sums the column sums when the collinearity counts are
-    those of the plane (geometry._has_plane_counts). op.point_projector has two
-    bounds, law then trace.
+    (|psi_p|^2 - 1) A_p. When the collinearity counts are those of the plane
+    (geometry._has_plane_counts), line j holds one point of p's column and d
+    points across, so tr(A_p P_j) - N[p, j] is one Gram deviation within a
+    column plus d across two columns, less |psi_p|^2 - 1; and tr(P_j P_k) is
+    the sum of tr(A_q P_j) over the d+1 points q of k, less tr(P_j), so the
+    line Gram is within d+1 times the incidence bound plus the norms'. The two
+    Gram maxima are kept apart, as a Gram entry within a column rounds to ~10
+    times one across. The cross terms are the square's deviation plus the
+    norms'. The line average at a point sums the column sums under the same
+    counts. op.point_projector has two bounds, law then trace.
 
     The deviation is one per (p)oint, (l)ine or (c)olumn where the sweep measures the
     check's own formula, else one number: a total, a bound, or a Gram's largest entry.
@@ -149,7 +150,7 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
     columns = np.empty((d + 1, d, d), dtype=complex)
-    point_gram = 0.0
+    same = cross = 0.0  # the largest point Gram deviation within a column, and across two
     for c, block in enumerate(_blocks(len(states), d)):  # column b = c - 1
         psi = states[block]
         a = _projectors(psi)
@@ -159,12 +160,12 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
         columns[c] = a.sum(axis=0)
         overlaps = np.abs(psi.conj() @ states[block.start :].T) ** 2 - 1 / d  # with later columns
         overlaps[:, :d] += 1 / d - eye
-        point_gram = np.maximum(point_gram, np.abs(overlaps).max())
+        overlaps = np.abs(overlaps)
+        same = np.maximum(same, overlaps[:, :d].max())
+        cross = np.maximum(cross, overlaps[:, d:].max(initial=0.0))
 
     per_line = np.empty((4, len(at)))  # Hermiticity, trace, square, route
-    frobenius = np.empty((2, len(at)))  # of D_j and of E_j
     line_total = np.zeros((d, d), dtype=complex)
-    line_gram = incidence = 0.0
     for m_minus1, block in enumerate(_blocks(len(at), d)):
         p = _line_sums(states, at, first, block)
         per_line[0, block] = _each(p - p.conj().transpose(0, 2, 1))
@@ -172,27 +173,18 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
         per_line[2, block] = _each(p @ p - eye)
         per_line[3, block] = _each(p - _line_operators(mod, np.full(d, m_minus1), labels))
         line_total += p.sum(axis=0)
-        partner = (2 * m_minus1 - labels) % d
-        diag = p[:, labels, partner]  # D_j[n, 2a - n]
-        # tr(D_j D_k) = sum_n D_j[n, 2a - n] D_k[2a - n, n] within one m_minus1 a
-        line_gram = np.maximum(line_gram, np.abs(diag @ diag[:, partner].T - d * eye).max())
-        # <psi_q|D_j|psi_q> = sum_n conj(psi_q[n]) D_j[n, 2a - n] psi_q[2a - n], less N
-        traces = (states.conj() * states[:, partner]) @ diag.T  # [point, line]
-        traces[at[block], labels[:, None]] -= 1.0  # a point repeated on a row counts once
-        incidence = np.maximum(incidence, np.abs(traces).max())
-        frobenius[0, block] = np.linalg.norm(diag, axis=1)
-        p[:, labels, partner] = 0  # E_j
-        frobenius[1, block] = np.linalg.norm(p, axis=(1, 2))
 
+    plane = _has_plane_counts(at)
+    unit = np.abs(norms - 1).max()
     law = np.abs(norms - 1) * size.max(axis=1) ** 2  # the largest entry of A_p^2 - A_p
     total = columns.sum(axis=0)
     resolution = _each(columns - eye)
-    averages = _each(total - columns - d * eye).repeat(d) / d if _has_plane_counts(at) else np.inf
+    averages = _each(total - columns - d * eye).repeat(d) / d if plane else np.inf
     sums = np.abs(total - (d + 1) * eye).max(), np.abs(line_total - d * eye).max()
-    on_diagonal, off_diagonal = frobenius.max(axis=1)
-    line_gram += (2 * on_diagonal + off_diagonal) * off_diagonal
     cross_terms = (per_line[2] + law[at].sum(axis=1)).max()
-    incidence += off_diagonal * norms.max()
+    point_gram = np.maximum(same, cross)
+    incidence = same + d * cross + unit if plane else np.inf
+    line_gram = (d + 1) * (incidence + unit)
     return [
         ("op.point_hermitian", per_point[0], eps, "point operator {} deviates by", "p"),
         ("op.line_hermitian", per_line[0], eps, "line operator {} deviates by", "l"),

@@ -158,7 +158,7 @@ def test_verify_peak_estimate_covers_the_measured_peak(scope, d):
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) * 1024 <= cli._verify_peak_bytes(d, scope)
+    assert int(result.stdout) * 1024 <= cli._peak_bytes(d, "verify", scope)
 
 
 def test_verify_operators_estimate_covers_a_failing_run():
@@ -193,7 +193,7 @@ def test_verify_operators_estimate_covers_a_failing_run():
     assert "2/15 checks passed" in result.stderr
     status, peak_kib = result.stdout.split()
     assert status == "1"
-    assert int(peak_kib) * 1024 <= cli._verify_peak_bytes(31, "operators")
+    assert int(peak_kib) * 1024 <= cli._peak_bytes(31, "verify", "operators")
 
 
 def test_operator_battery_at_d101_fits_in_2_gib(monkeypatch):
@@ -216,7 +216,7 @@ def test_verify_all_at_d101_fits_in_2_gib(monkeypatch, capsys):
         "verify_operator_identities",
     ):
         monkeypatch.setattr(cli, name, lambda mod, eps=None: AxiomReport(mod.d, ()))
-    assert cli._verify_peak_bytes(101, "all") < 2**31
+    assert cli._peak_bytes(101, "verify", "all") < 2**31
     assert cli.main(["verify", "--scope", "all", "--d", "101"]) == 0
     assert capsys.readouterr().err == "scope=all d=101: 0/0 checks passed (10302 points, 10201 lines swept)\n"
 
@@ -248,7 +248,7 @@ def test_show_operator_peak_estimate_covers_the_measured_peak():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) * 1024 <= cli._operator_peak_bytes(1009)
+    assert int(result.stdout) * 1024 <= cli._peak_bytes(1009, "show", "operator")
 
 
 # the per-label views of the array rules; verify must evaluate the rules over arrays

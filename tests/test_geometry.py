@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from faults import inject, replace_with
 from oracle import (
@@ -16,6 +17,9 @@ from test_mutants import DIMS, VERIFIERS, mutants
 
 from mubgeo import geometry
 from mubgeo.core import Modulus
+from mubgeo.mub import mub_state
+from mubgeo.operators import line_operator_direct, point_operator_direct
+from mubgeo.phasespace import QuasiDistribution
 from mubgeo.geometry import (
     CB_COLUMN,
     ApgPoint,
@@ -31,6 +35,7 @@ from mubgeo.geometry import (
     incidence_matrix,
     line_points,
     lines_through_point,
+    point_index,
     verify_apg_axioms,
     verify_dapg_axioms,
     verify_duality,
@@ -453,6 +458,51 @@ def test_out_of_range_answer_raises_the_label_error(monkeypatch, rule, targets, 
     assert str(error.value) == f"invalid {message} for d=5"
 
 
+def _quasi_value(mod, line):
+    return QuasiDistribution(mod, np.zeros((mod.d, mod.d))).value(line)
+
+
+def _state(mod, label):
+    return mub_state(mod, *label)
+
+
+SLOPED, VERTICAL = "invalid sloped line (r=1.5, s=0)", "invalid vertical line xi=2.0"
+
+
+@pytest.mark.parametrize(
+    "view, good, bad, message",
+    [
+        (line_points, Line(np.int64(1), 0), Line(1.5, 0), "invalid line label (1.5,0)"),
+        (line_operator_direct, Line(0, np.uint8(2)), Line(0, 2.0), "invalid line label (0,2.0)"),
+        (_quasi_value, Line(1, 2), Line(True, 2), "invalid line label (True,2)"),
+        (point_index, Point(np.int32(1), 0), Point(1.5, 0), "invalid point label (1.5,0)"),
+        (point_operator_direct, Point(1, 0), Point(1, False), "invalid point label (1,False)"),
+        (_state, (np.int64(0), 1), (0, 1.0), "invalid state label (m=1.0, b=0)"),
+        (apg_line_points, SlopedLine(np.int64(1), 0), SlopedLine(1.5, 0), SLOPED),
+        (duality_common_point, SlopedLine(1, 0), SlopedLine(1.5, 0), SLOPED),
+        (duality_common_point, VerticalLine(np.int64(2)), VerticalLine(2.0), VERTICAL),
+    ],
+    ids=[
+        "line_points",
+        "line_operator",
+        "quasi_value",
+        "point_index",
+        "point_operator",
+        "state",
+        "apg_line_points",
+        "sloped_common_point",
+        "vertical_common_point",
+    ],
+)
+def test_a_label_field_must_be_an_integer(view, good, bad, message):
+    # numpy integers are labels; a float or a bool of an integral value is refused, not rounded
+    mod = Modulus(3)
+    view(mod, good)
+    with pytest.raises(ValueError) as error:
+        view(mod, bad)
+    assert str(error.value) == f"{message} for d=3"
+
+
 @pytest.mark.parametrize("verify", [verify_dapg_axioms, verify_apg_axioms, verify_duality])
 def test_geometry_checks_hold_no_gram(verify):
     # a passing run at d = 31 stays below 4 MiB; one float64 (d(d+1))^2 Gram is 7.5 MiB
@@ -512,4 +562,51 @@ def test_class_preserving_swap_is_caught(monkeypatch):
             "lines SlopedLine(r=0, s=0) and SlopedLine(r=1, s=3) of different classes"
             " share 0 points",
         ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "repeated, shares",
+    [
+        (False, "pencil of SlopedLine(r=0, s=0) shares [Point(m=0, b=-1), Point(m=0, b=1)]"),
+        (True, "pencil of SlopedLine(r=2, s=0) shares [Point(m=0, b=-1), Point(m=0, b=1)]"),
+    ],
+    ids=["twins", "twins_with_a_repeated_point"],
+)
+def test_twin_affine_lines_fail_the_pencil_check(monkeypatch, repeated, shares):
+    # at d = 3 the 12 affine lines are the rows eta = s and the columns xi = s of the grid, each
+    # twice (the twin's third point repeats its second, when repeated); affine line k has point k
+    # in common, and the dual line labelled by an affine point holds the common points of the
+    # affine lines through it. The round trip holds and the map is a bijection, so only the test
+    # that the affine lines hold d distinct points each, no two the same, sends the pencils to
+    # be counted
+    mod = Modulus(3)
+    d = mod.d
+
+    def grid_line(mod, r, s):
+        t, k = np.arange(d), np.expand_dims(r * d + s, -1)
+        if repeated:
+            t = np.where(k < 2 * d, t, np.minimum(t, 1))
+        g = k % (2 * d)
+        return ApgPoint(np.where(g < d, t, g - d), np.where(g < d, g, t))
+
+    def common(mod, r, s):
+        k = r * d + s
+        return Point(k % d, k // d - 1)
+
+    xi, eta = grid_line(mod, *geometry._apg_line_labels(mod))
+    through = [((xi == a // d) & (eta == a % d)).any(axis=1).nonzero()[0] for a in range(d * d)]
+    rows = np.array([np.resize(k, d + 1) for k in through])  # repeated cyclically to d+1
+
+    def dual_line(mod, m_minus1, m0):
+        return common(mod, *np.divmod(rows[m_minus1 * d + m0], d))
+
+    monkeypatch.setattr(geometry, "_apg_line_points", grid_line)
+    monkeypatch.setattr(geometry, "_common_point", common)
+    monkeypatch.setattr(geometry, "_line_points", dual_line)
+    report = verify_duality(mod)
+    assert report == gram_duality(mod)
+    assert _failures(report) == [
+        ("duality.pencil_common_point", shares),
+        ("duality.class_to_column_bijection", "slope 0 maps to columns [-1]"),
     ]

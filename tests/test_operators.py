@@ -179,10 +179,15 @@ def test_route_check_locates_a_corrupted_direct_route(monkeypatch, rule, target,
     assert [(c.axiom, c.counterexample) for c in report.checks if not c.ok] == [failure]
 
 
-def test_summed_identities_hold_at_a_tiny_eps():
-    # d*eps = 1.9e-13 is below the 2.2e-13 that op.line_sum rounds to at d = 19
-    report = verify_operator_identities(Modulus(19), eps=1e-14)
-    assert report.passed, [c for c in report.checks if not c.ok]
+def test_summed_identities_hold_at_a_tiny_eps(monkeypatch):
+    # d*eps = 1.9e-13 is below the 2.2e-13 that op.line_sum rounds to at d = 19; at d = 47 the
+    # bounds of the line Gram and the incidence traces stay within the 16 d^2 2^-52 floor, so
+    # no exact pass runs
+    exact = _count_exact_passes(monkeypatch)
+    for d in (19, 47):
+        report = verify_operator_identities(Modulus(d), eps=1e-14)
+        assert report.passed, [c for c in report.checks if not c.ok]
+    assert exact == []
 
 
 @pytest.mark.parametrize(
@@ -365,6 +370,31 @@ def test_line_route_fault_fails_only_its_route_check(monkeypatch):
     failures = [(c.axiom, c.counterexample) for c in report.checks if not c.ok]
     assert failures == [("op.line_route_equality", "line routes at (1,2) deviates by 1.000e-06")]
     assert exact == []
+
+
+def test_non_affine_column_relabeling_matches_the_dense_oracle(monkeypatch):
+    # rows 0 and 1 of column 1 trade places on every line, a relabeling no affine map of Z_7
+    # makes: the lines still form a net, so the line Gram and the incidence traces, which follow
+    # from the point Gram and the plane's counts, pass their bounds; the line operators are no
+    # longer involutions, and only the cross terms need an exact pass
+    sigma = np.array([1, 0, 2, 3, 4, 5, 6])
+    original = geometry._line_points
+
+    def relabeled(mod, m_minus1, m0):
+        m, b = original(mod, m_minus1, m0)
+        return Point(np.where(b == 1, sigma[m], m), b)
+
+    monkeypatch.setattr(geometry, "_line_points", relabeled)
+    exact = _count_exact_passes(monkeypatch)
+    mod = Modulus(7)
+    report, _ = dense_operator_battery(mod)
+    assert verify_operator_identities(mod) == report
+    assert [c.axiom for c in report.checks if not c.ok] == [
+        "op.line_involution",
+        "op.cross_term_distillation",
+        "op.line_route_equality",
+    ]
+    assert exact == ["op.cross_term_distillation"]
 
 
 def test_failing_battery_holds_no_dense_stack(monkeypatch, fresh_family):
