@@ -10,6 +10,7 @@ from .errors import (
     IncompleteProbabilitiesError,
     MissingLineError,
     NonHermitianInputError,
+    NormOutOfRangeError,
     NotPrimeError,
     UnsupportedDimensionError,
 )

@@ -17,6 +17,10 @@ class NonHermitianInputError(ValueError):
     """A matrix that must be Hermitian is not, within tolerance."""
 
 
+class NormOutOfRangeError(ValueError):
+    """A matrix norm is too large for the float range of the computation it scales."""
+
+
 class MissingLineError(ValueError):
     """A quasi-distribution does not cover every line label exactly once."""
 

@@ -243,6 +243,13 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
+def _one_sided(x: np.ndarray, y: np.ndarray, width: int, size: int) -> np.ndarray:
+    """Per group key // width, the count of keys in x or y alone; equal sorted keys compare once."""
+    if np.array_equal(x, y):
+        return np.zeros(size, dtype=np.intp)
+    return np.bincount(np.setxor1d(x, y, assume_unique=True) // width, minlength=size)
+
+
 def _grouped(x, y, size: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs (x, y), y < width, as (ptr, y): x = i pairs with y[ptr[i]:ptr[i + 1]]."""
     x, y = np.divmod(_distinct(x * width + y), width)
@@ -351,8 +358,7 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     through = _distinct(at * (d * d) + lines)  # (point, line) of each incidence, once
     degree = np.bincount(through // (d * d), minlength=size)
     pencil = _distinct(np.arange(size)[:, None] * d * d + pencils)
-    odd = np.setxor1d(through, pencil, assume_unique=True)  # on one side only
-    differs = np.bincount(odd // (d * d), minlength=size)
+    differs = _one_sided(through, pencil, d * d, size)
     bad_degree = witness(
         (differs > 0) | (np.bincount(pencil // (d * d), minlength=size) != d),
         lambda i: f"point {point(i)} lies on {degree[i]} lines",
@@ -512,7 +518,7 @@ def verify_duality(mod: Modulus) -> AxiomReport:
     # (a, p): p the common point of an affine line through a, or a point of dual line a
     image = _distinct(table * size + where[:, None])
     support = _distinct(np.arange(d * d)[:, None] * size + at)
-    differs = np.bincount(np.setxor1d(image, support, assume_unique=True) // size, minlength=d * d)
+    differs = _one_sided(image, support, size, d * d)
     bad_roundtrip = witness(
         differs > 0,
         lambda a: f"pencil through ({a // d},{a % d}) maps onto"

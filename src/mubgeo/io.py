@@ -1,13 +1,16 @@
 """Byte-stable file formats: matrix JSON and the two CSV table layouts.
 
 Floats are printed with 17 significant digits, enough to round-trip float64
-exactly, so write -> read -> write is the identity on bytes.
+exactly, so write -> read -> write is the identity on bytes. The phase-space
+tables are finite by construction; matrix_to_json checks its matrix once.
+One reader and one writer serve both CSV tables, driven by their label layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from itertools import islice
 
 import numpy as np
@@ -16,22 +19,24 @@ from .core import Modulus
 from .errors import IncompleteProbabilitiesError, MissingLineError
 from .phasespace import MubProbabilities, QuasiDistribution
 
-QUASI_HEADER = "m_minus1,m0,value"
-PROBABILITY_HEADER = "m,b,value"
+
+# A CSV table's header, name, label error and word, the map of its labels (i, j) to the cells
+# [r, c] of a (d + extra) x d table and back, and the class of the table
+_Layout = namedtuple("_Layout", "header name error word extra cell label table")
+
+# quasi-distribution values by line (m_minus1, m0) in cell [m_minus1, m0]
+_LINES = _Layout("m_minus1,m0,value", "quasi-distribution CSV", MissingLineError, "line", 0,
+                lambda i, j: (i, j), lambda r, c: (r, c), QuasiDistribution)
+# probabilities by point (m, b) in cell [b + 1, m]: the reference column b = -1 first
+_POINTS = _Layout("m,b,value", "probability CSV", IncompleteProbabilitiesError, "point", 1,
+                 lambda i, j: (j + 1, i), lambda r, c: (c, r - 1), MubProbabilities)
 
 
-def format_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
-
-
-def _rows_block(rows: np.ndarray) -> str:
-    lines = []
-    for row in rows:
-        lines.append("    [" + ", ".join(format_float(v) for v in row) + "]")
-    return ",\n".join(lines)
+def _rows(table: np.ndarray, layout: _Layout, entry: str, sep: str):
+    """Each row as one string: entry (two %d for the label, one %%.17g) per cell, joined by sep."""
+    i, j = layout.label(*np.indices(table.shape))
+    for row, labels in zip(table.tolist(), zip(i.tolist(), j.tolist())):
+        yield sep.join(map(entry.__mod__, zip(*labels))) % tuple(row)
 
 
 def matrix_to_json(matrix) -> str:
@@ -39,13 +44,18 @@ def matrix_to_json(matrix) -> str:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
+    row = "    [" + ", ".join(["%.17g"] * m.shape[1]) + "]"
+
+    def block(part: np.ndarray) -> str:
+        return ",\n".join(row % tuple(r) for r in part.tolist())
+
     return (
         "{\n"
         f'  "d": {m.shape[0]},\n'
-        '  "re": [\n' + _rows_block(m.real) + "\n  ],\n"
-        '  "im": [\n' + _rows_block(m.imag) + "\n  ]\n"
+        '  "re": [\n' + block(m.real) + "\n  ],\n"
+        '  "im": [\n' + block(m.imag) + "\n  ]\n"
         "}\n"
     )
 
@@ -78,92 +88,66 @@ def parse_matrix_json(text: str) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-def quasi_to_csv(quasi: QuasiDistribution) -> str:
-    """One row per line label, lexicographic in (m_minus1, m0).
+def _to_csv(table: np.ndarray, layout: _Layout) -> str:
+    """The header, then one row per label in cell order; one text block per row of the table."""
+    return layout.header + "\n" + "".join(_rows(table, layout, "%d,%d,%%.17g\n", ""))
 
-    Each m_minus1 is formatted into one block, so no string per entry outlives its block.
-    """
-    blocks = [QUASI_HEADER + "\n"]
-    for a, row in enumerate(quasi.values):
-        blocks.append("".join(f"{a},{b},{format_float(v)}\n" for b, v in enumerate(row.tolist())))
-    return "".join(blocks)
+
+def _read_csv(text: str, mod: Modulus, layout: _Layout):
+    """Read a table, naming the first offender; only the file's rows are held until it is full."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != layout.header:
+        raise ValueError(f"{layout.name} must start with header {layout.header!r}")
+    d, name, word = mod.d, layout.name, layout.word
+    size = (d + layout.extra) * d
+    cells: dict[int, float] = {}  # by flat cell index r * d + c
+    for ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"{name} rows need 3 fields, got {fields!r}")
+        try:
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError as exc:
+            raise ValueError(f"malformed {name} row {fields!r}: {exc}") from exc
+        if not math.isfinite(v):
+            raise ValueError(f"{name} value {fields[2]!r} is not finite")
+        r, c = layout.cell(i, j)
+        if not (0 <= r < d + layout.extra and 0 <= c < d):
+            raise layout.error(f"{word} label ({i},{j}) is out of range for d={d}")
+        if r * d + c in cells:
+            raise layout.error(f"duplicate row for {word} ({i},{j})")
+        cells[r * d + c] = v
+    if len(cells) < size:  # name the first four missing; the scan stops after them
+        missing = islice((k for k in range(size) if k not in cells), 4)
+        shown = ", ".join("(%d,%d)" % layout.label(*divmod(k, d)) for k in missing)
+        raise layout.error(f"{size - len(cells)} {word} labels missing (first: {shown})")
+    table = np.empty(size)
+    table[np.fromiter(cells, np.intp, size)] = np.fromiter(cells.values(), float, size)
+    return layout.table(mod, table.reshape(-1, d))
+
+
+def quasi_to_csv(quasi: QuasiDistribution) -> str:
+    """One row per line label, lexicographic in (m_minus1, m0)."""
+    return _to_csv(quasi.values, _LINES)
 
 
 def quasi_to_json(quasi: QuasiDistribution) -> str:
     """Same content as the CSV, as a JSON object with a values array."""
-    blocks = ["{\n" + f'  "d": {quasi.mod.d},\n' + '  "values": [\n']
-    for a, row in enumerate(quasi.values):
-        entries = ",\n".join(
-            f'    {{"m_minus1": {a}, "m0": {b}, "value": {format_float(v)}}}'
-            for b, v in enumerate(row.tolist())
-        )
-        blocks.append((",\n" if a else "") + entries)
-    blocks.append("\n  ]\n}\n")
-    return "".join(blocks)
-
-
-def _split_csv(text: str, header: str, label: str) -> list[list[str]]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != header:
-        raise ValueError(f"{label} must start with header {header!r}")
-    return [ln.split(",") for ln in lines[1:]]
-
-
-def _parse_value(fields: list[str], label: str) -> tuple[int, int, float]:
-    if len(fields) != 3:
-        raise ValueError(f"{label} rows need 3 fields, got {fields!r}")
-    try:
-        i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-    except ValueError as exc:
-        raise ValueError(f"malformed {label} row {fields!r}: {exc}") from exc
-    if not math.isfinite(v):
-        raise ValueError(f"{label} value {fields[2]!r} is not finite")
-    return i, j, v
+    entry = '    {"m_minus1": %d, "m0": %d, "value": %%.17g}'
+    values = ",\n".join(_rows(quasi.values, _LINES, entry, ",\n"))
+    return "{\n" + f'  "d": {quasi.mod.d},\n' + '  "values": [\n' + values + "\n  ]\n}\n"
 
 
 def parse_quasi_csv(text: str, mod: Modulus) -> QuasiDistribution:
     """Read a quasi-distribution, requiring each line label exactly once."""
-    d = mod.d
-    rows: dict[int, float] = {}  # by line_index: lexicographic in (m_minus1, m0)
-    for fields in _split_csv(text, QUASI_HEADER, "quasi-distribution CSV"):
-        a, b, v = _parse_value(fields, "quasi-distribution CSV")
-        if not (0 <= a < d and 0 <= b < d):
-            raise MissingLineError(f"line label ({a},{b}) is out of range for d={d}")
-        if a * d + b in rows:
-            raise MissingLineError(f"duplicate row for line ({a},{b})")
-        rows[a * d + b] = v
-    if len(rows) < d * d:  # name the first four missing; the scan stops after them
-        missing = islice((k for k in range(d * d) if k not in rows), 4)
-        shown = ", ".join(f"({k // d},{k % d})" for k in missing)
-        raise MissingLineError(f"{d * d - len(rows)} line labels missing (first: {shown})")
-    return QuasiDistribution(mod, np.array([rows[k] for k in range(d * d)]).reshape(d, d))
+    return _read_csv(text, mod, _LINES)
 
 
 def probabilities_to_csv(probs: MubProbabilities) -> str:
     """One row per point label, column-major with the reference column (b=-1) first."""
-    rows = [PROBABILITY_HEADER]
-    d = probs.mod.d
-    for b in range(-1, d):
-        for m in range(d):
-            rows.append(f"{m},{b},{format_float(probs.values[b + 1, m])}")
-    return "\n".join(rows) + "\n"
+    return _to_csv(probs.values, _POINTS)
 
 
 def parse_probabilities_csv(text: str, mod: Modulus) -> MubProbabilities:
     """Read a probability table, requiring each point label exactly once."""
-    d = mod.d
-    rows: dict[int, float] = {}  # by point_index: column b = -1 first, then m
-    for fields in _split_csv(text, PROBABILITY_HEADER, "probability CSV"):
-        m, b, v = _parse_value(fields, "probability CSV")
-        if not (0 <= m < d and -1 <= b < d):
-            raise IncompleteProbabilitiesError(f"point label ({m},{b}) is out of range for d={d}")
-        if (b + 1) * d + m in rows:
-            raise IncompleteProbabilitiesError(f"duplicate row for point ({m},{b})")
-        rows[(b + 1) * d + m] = v
-    if len(rows) < d * (d + 1):  # name the first four missing; the scan stops after them
-        missing = islice((k for k in range(d * (d + 1)) if k not in rows), 4)
-        shown = ", ".join(f"({k % d},{k // d - 1})" for k in missing)
-        raise IncompleteProbabilitiesError(
-            f"{d * (d + 1) - len(rows)} point labels missing (first: {shown})"
-        )
-    return MubProbabilities(mod, np.array([rows[k] for k in range(d * (d + 1))]).reshape(d + 1, d))
+    return _read_csv(text, mod, _POINTS)

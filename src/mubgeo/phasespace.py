@@ -46,6 +46,7 @@ from .errors import (
     IncompleteProbabilitiesError,
     MissingLineError,
     NonHermitianInputError,
+    NormOutOfRangeError,
 )
 from .geometry import Line, Point, check_line, check_point
 
@@ -60,7 +61,7 @@ def _frozen_table(values, what: str, error: type, label: str, *shape: int) -> np
         raise error(
             f"need one value per {label}, a {shape[0]}x{shape[1]} table; got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
@@ -136,20 +137,22 @@ def _line_coefficients(b: np.ndarray) -> np.ndarray:
 
 
 def _scale(b: np.ndarray) -> float:
-    """max(1, |B|_F); hypot.reduce, which cannot overflow, only where the plain norm does."""
+    """max(1, |B|_F), inf past the float range; hypot.reduce only where the plain norm overflows."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(b))
-    if not np.isfinite(norm):
-        norm = float(np.hypot.reduce(np.abs(b), axis=None))
+        if not np.isfinite(norm):
+            norm = float(np.hypot.reduce(np.abs(b), axis=None))
     return max(1.0, norm)
 
 
 def _check_hermitian(b: np.ndarray, tol: float, what: str) -> None:
+    """Pass on the largest |b[i,j] - conj(b[j,i])|; only a failure locates its entry."""
+    if np.abs(b - b.conj().T).max() <= tol:
+        return
     defect, (i, j) = hermiticity_defect(b)
-    if defect > tol:
-        raise NonHermitianInputError(
-            f"{what} is not Hermitian within {tol:g}: max asymmetry {defect:.3e} at entry ({i},{j})"
-        )
+    raise NonHermitianInputError(
+        f"{what} is not Hermitian within {tol:g}: max asymmetry {defect:.3e} at entry ({i},{j})"
+    )
 
 
 def _real(vals: np.ndarray, b: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -190,11 +193,11 @@ def _chirp_probabilities(mod: Modulus, rho: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _slices(mod: Modulus) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index into FFT2(V) and phase of frequency k of column b = -1..d-1, as [b+1, k]."""
+    """Flat index into FFT2(V) and conjugated phase of frequency k of column b, as [b+1, k]."""
     k = np.arange(mod.d)
     j = np.r_[1, k][:, None]  # column -1 runs along direction (1, 0), column b along (b, 1)
     m = np.r_[0, np.ones(mod.d, dtype=int)][:, None]
-    phases = np.exp(2j * np.pi * k / mod.d)[k * mod.half(j * m) % mod.d]
+    phases = np.exp(2j * np.pi * k / mod.d).conj()[k * mod.half(j * m) % mod.d]
     return _read_only(k * j % mod.d * mod.d + k * m, phases)  # row k j, column k m
 
 
@@ -210,9 +213,14 @@ def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistrib
     """Coefficients tr(B P_j) of a Hermitian matrix B over all lines.
 
     Hermiticity is held to eps * max(1, |B|_F), the imaginary residue (d entries) to d times that.
+    A norm above the float max / d is refused: the coefficients, up to sqrt(d) |B|_F, could
+    overflow, and eps times an infinite norm would pass anything.
     """
     b = as_square_matrix(matrix, mod.d)
-    tol = eps * _scale(b)
+    scale, limit = _scale(b), np.finfo(float).max / mod.d
+    if scale > limit:
+        raise NormOutOfRangeError(f"input's Frobenius norm exceeds the float max / d = {limit:.4g}")
+    tol = eps * scale
     _check_hermitian(b, tol, "input")
     return QuasiDistribution(mod, _real(_line_coefficients(b), b, tol, "coefficients"))
 
@@ -267,8 +275,9 @@ def validate_density_matrix(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> n
     eigvalsh decides the rest, so a verdict and its message are those of eigvalsh alone.
     """
     rho = as_square_matrix(matrix, mod.d)
-    _check_hermitian(rho, eps, "state")
-    trace = complex(np.trace(rho))
+    with np.errstate(over="ignore"):  # a defect or trace past the float range reads inf, and fails
+        _check_hermitian(rho, eps, "state")
+        trace = complex(np.trace(rho))
     if abs(trace - 1.0) > mod.d * eps:
         raise ValueError(f"state must have unit trace, got {trace:.12g}")
     if _certified_above(rho, mod.d * eps):
@@ -307,7 +316,7 @@ def quasi_from_probabilities(
         )
     index, phases = _slices(mod)
     w = np.empty((mod.d, mod.d), dtype=complex)
-    w.put(index, np.fft.fft(probs.values, axis=1) * phases.conj())  # each frequency on one slice
+    w.put(index, np.fft.fft(probs.values, axis=1) * phases)  # each frequency on one slice
     w[0, 0] = sums.sum() - mod.d  # on every slice: sum(V) / d
     return QuasiDistribution(mod, np.fft.ifft2(w).real * mod.d)
 

@@ -373,6 +373,18 @@ def test_map_rejects_non_hermitian(tmp_path):
     assert "(0,2)" in result.stderr or "(2,0)" in result.stderr
 
 
+def test_map_refuses_a_norm_past_the_float_range(tmp_path):
+    # entries 2e306 e^(2 pi i theta) at d = 101: exit 2 with the reason alone, nothing from numpy
+    d = 101
+    theta = np.random.default_rng(0).uniform(size=(d, d))
+    source = tmp_path / "huge.json"
+    source.write_text(matrix_to_json(2e306 * np.exp(2j * np.pi * theta)))
+    result = run_cli("map", "--d", str(d), "--input", str(source))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: input's Frobenius norm exceeds the float max / d = 1.78e+306\n"
+
+
 def test_map_rejects_missing_file(tmp_path):
     result = run_cli("map", "--d", "3", "--input", str(tmp_path / "absent.json"))
     assert result.returncode == 2

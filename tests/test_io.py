@@ -7,7 +7,6 @@ from conftest import random_density
 from mubgeo.core import Modulus
 from mubgeo.errors import IncompleteProbabilitiesError, MissingLineError
 from mubgeo.io import (
-    format_float,
     matrix_to_json,
     parse_matrix_json,
     parse_probabilities_csv,
@@ -22,11 +21,15 @@ MOD3 = Modulus(3)
 
 
 def test_format_float_17_digits():
-    assert format_float(1 / 3) == "0.33333333333333331"
-    assert format_float(1.0) == "1"
-    assert float(format_float(0.1 + 0.2)) == 0.1 + 0.2
+    # every writer prints a value as format(x, ".17g") does, the edges of float64 included
+    tiny, top = np.nextafter(0, 1), np.finfo(float).max
+    values = [1 / 3, 1.0, 0.1 + 0.2, -0.0, tiny, -tiny, np.finfo(float).tiny, top, -top]
+    text = matrix_to_json(np.array([values]))
+    assert '[0.33333333333333331, 1, 0.30000000000000004, -0, 4.9406564584124654e-324,' in text
+    assert "    [" + ", ".join(format(v, ".17g") for v in values) + "]" in text
+    assert float("0.30000000000000004") == 0.1 + 0.2
     with pytest.raises(ValueError):
-        format_float(float("nan"))
+        matrix_to_json(np.array([[float("nan")]]))
 
 
 def test_matrix_json_round_trip_is_exact(rng):
@@ -186,3 +189,95 @@ def test_missing_labels_cost_a_few_tables_not_a_list(parse, text, error, message
         tracemalloc.stop()
     assert str(exc.value) == message
     assert peak < 1_000_000
+
+
+
+# both layouts share one reader: each error names the file, the label word and the offender
+READERS = {
+    "line": (parse_quasi_csv, MissingLineError, "m_minus1,m0,value"),
+    "point": (parse_probabilities_csv, IncompleteProbabilitiesError, "m,b,value"),
+}
+
+
+def _read(word, rows, header=None):
+    parse, _, default = READERS[word]
+    return parse("\n".join([default if header is None else header, *rows]) + "\n", MOD3)
+
+
+@pytest.mark.parametrize(
+    "word, rows, message",
+    [
+        ("line", ["3,0,1"], "line label (3,0) is out of range for d=3"),
+        ("line", ["0,3,1"], "line label (0,3) is out of range for d=3"),
+        ("line", ["0,-1,1"], "line label (0,-1) is out of range for d=3"),
+        ("line", ["-1,0,1"], "line label (-1,0) is out of range for d=3"),
+        ("point", ["0,-2,1"], "point label (0,-2) is out of range for d=3"),
+        ("point", ["3,0,1"], "point label (3,0) is out of range for d=3"),
+        ("point", ["0,3,1"], "point label (0,3) is out of range for d=3"),
+        ("point", ["-1,0,1"], "point label (-1,0) is out of range for d=3"),
+        ("line", ["1,2,1", "0,0,1", "1,2,0.5"], "duplicate row for line (1,2)"),
+        ("point", ["1,-1,1", "2,0,1", "1,-1,1"], "duplicate row for point (1,-1)"),
+        ("line", [], "9 line labels missing (first: (0,0), (0,1), (0,2), (1,0))"),
+        ("line", ["0,1,1", "1,0,1"], "7 line labels missing (first: (0,0), (0,2), (1,1), (1,2))"),
+        ("point", [], "12 point labels missing (first: (0,-1), (1,-1), (2,-1), (0,0))"),
+        (
+            "point",
+            ["1,-1,1", "0,0,1"],
+            "10 point labels missing (first: (0,-1), (2,-1), (1,0), (2,0))",
+        ),
+    ],
+)
+def test_reader_label_errors_keep_their_text_and_type(word, rows, message):
+    with pytest.raises(ValueError) as exc:
+        _read(word, rows)
+    assert type(exc.value) is READERS[word][1]
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "word, rows, message",
+    [
+        ("line", ["0,0"], "quasi-distribution CSV rows need 3 fields, got ['0', '0']"),
+        ("point", ["0,0,1,2"], "probability CSV rows need 3 fields, got ['0', '0', '1', '2']"),
+        (
+            "line",
+            ["0,x,1"],
+            "malformed quasi-distribution CSV row ['0', 'x', '1']:"
+            " invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            "point",
+            ["0,0,one"],
+            "malformed probability CSV row ['0', '0', 'one']:"
+            " could not convert string to float: 'one'",
+        ),
+        ("line", ["0,0,nan"], "quasi-distribution CSV value 'nan' is not finite"),
+        ("point", ["0,0,-inf"], "probability CSV value '-inf' is not finite"),
+        (
+            "line",
+            ["0,0,1", "0,1,"],
+            "malformed quasi-distribution CSV row ['0', '1', '']:"
+            " could not convert string to float: ''",
+        ),
+    ],
+)
+def test_reader_row_errors_keep_their_text_and_type(word, rows, message):
+    with pytest.raises(ValueError) as exc:
+        _read(word, rows)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "word, header, message",
+    [
+        ("line", "m,b,value", "quasi-distribution CSV must start with header 'm_minus1,m0,value'"),
+        ("point", "m_minus1,m0,value", "probability CSV must start with header 'm,b,value'"),
+        ("point", "", "probability CSV must start with header 'm,b,value'"),
+    ],
+)
+def test_reader_header_errors_keep_their_text_and_type(word, header, message):
+    with pytest.raises(ValueError) as exc:
+        _read(word, ["0,0,1"], header)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message

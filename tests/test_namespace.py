@@ -1,6 +1,7 @@
 import inspect
 
 import mubgeo
+import mubgeo.io
 from mubgeo import core, errors, geometry, mub, operators, phasespace
 
 # public names deleted from the package: unused, or a second copy of another
@@ -28,6 +29,7 @@ DELETED = {
         "line_operator_sum",
     ],
     phasespace: ["marginalize"],
+    mubgeo.io: ["format_float", "QUASI_HEADER", "PROBABILITY_HEADER"],
     phasespace.MubProbabilities: ["check_range"],
 }
 

@@ -12,6 +12,7 @@ from mubgeo.errors import (
     IncompleteProbabilitiesError,
     MissingLineError,
     NonHermitianInputError,
+    NormOutOfRangeError,
 )
 from mubgeo.geometry import Line, Point, lines_through_point
 from mubgeo.operators import line_operator_direct
@@ -73,6 +74,49 @@ def test_map_scales_tolerance_with_norm():
     huge[0, 1] *= 1 + 1e-5
     with pytest.raises(NonHermitianInputError, match=r"\(0,1\)"):
         map_operator(MOD3, huge)
+
+
+def beyond_the_float_range(amplitude, d=101):
+    """Entries amplitude e^(2 pi i theta), theta seeded uniform: |B|_F = d amplitude."""
+    return amplitude * np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=(d, d)))
+
+
+@pytest.mark.parametrize("amplitude", [2e306, 1.7e308])
+def test_map_refuses_a_norm_past_the_float_range(amplitude):
+    # eps times an infinite norm passed any defect (~4e306 here) with finite coefficients, and
+    # near the largest float the refusal blamed the coefficients; warnings are errors here
+    with pytest.raises(NormOutOfRangeError) as exc:
+        map_operator(Modulus(101), beyond_the_float_range(amplitude))
+    assert str(exc.value) == "input's Frobenius norm exceeds the float max / d = 1.78e+306"
+
+
+def test_map_takes_a_norm_up_to_the_float_max_over_d():
+    d = 101
+    mod, near = Modulus(d), 0.999 * np.finfo(float).max / d
+    assert np.isfinite(map_operator(mod, np.full((d, d), near / d)).values).all()
+    skew = np.zeros((d, d))
+    skew[0, 1] = near  # off Hermitian by its whole size, and judged on that
+    with pytest.raises(NonHermitianInputError, match=r"asymmetry 1\.778e\+306 at entry \(0,1\)"):
+        map_operator(mod, skew)
+
+
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (np.diag([1.5e308, 1.5e308, -1e308]), ValueError, "state must have unit trace, got inf+0j"),
+        (
+            [[0.5, 1e308, 0], [-1e308, 0.5, 0], [0, 0, 0]],
+            NonHermitianInputError,
+            "state is not Hermitian within 1e-10: max asymmetry inf at entry (0,1)",
+        ),
+    ],
+)
+def test_a_state_past_the_float_range_is_refused_without_a_warning(matrix, error, message):
+    # the trace and the Hermiticity defect overflow; warnings are errors here
+    with pytest.raises(ValueError) as exc:
+        probabilities_from_state(MOD3, matrix)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 ANTI_HERMITIAN_J = 1j * np.ones((5, 5))  # every entry off Hermitian by twice its size

@@ -2,7 +2,8 @@
 
 Inputs are Hermitian matrices (G + G^dagger)/2 and states built from G G^dagger,
 for G drawn entrywise. Each tolerance is 1e-13 * d times max(1, |M|_F) for
-every input M the compared quantity depends on.
+every input M the compared quantity depends on. The file formats are tested on
+tables drawn from every finite float.
 """
 
 import numpy as np
@@ -13,9 +14,11 @@ from oracle import clifford_gates, line_operator_stack, point_operator_stack
 
 from mubgeo.core import Modulus
 from mubgeo.geometry import incidence_matrix
+from mubgeo.io import parse_probabilities_csv, parse_quasi_csv, probabilities_to_csv, quasi_to_csv
 from mubgeo.mub import mub_family, x_matrix, z_matrix
 from mubgeo.phasespace import (
     MubProbabilities,
+    QuasiDistribution,
     map_operator,
     pair_expectation,
     probabilities_from_state,
@@ -171,3 +174,21 @@ def test_kernels_match_stack_oracle(dg):
     assert np.abs(probs.values - expected).max() <= tol(d, rho)
     expected = incidence_matrix(mod).T @ probs.values.reshape(-1) - 1.0
     assert np.abs(quasi_from_probabilities(probs).values.reshape(-1) - expected).max() <= tol(d)
+
+
+@deterministic
+@given(st.sampled_from(ORACLE_PRIMES), st.booleans(), st.data())
+def test_csv_write_read_write_is_the_identity(d, points, data):
+    # every finite float, signed zeros, subnormals and the largest included, in either layout
+    mod = Modulus(d)
+    kind, write, read = (
+        (MubProbabilities, probabilities_to_csv, parse_probabilities_csv)
+        if points
+        else (QuasiDistribution, quasi_to_csv, parse_quasi_csv)
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    table = kind(mod, data.draw(arrays(np.float64, (d + points, d), elements=finite)))
+    text = write(table)
+    again = read(text, mod)
+    assert again.values.tobytes() == table.values.tobytes()
+    assert write(again) == text
