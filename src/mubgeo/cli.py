@@ -8,12 +8,11 @@ a request that ran out of memory.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from .core import DEFAULT_EPS, Modulus
+from .core import DEFAULT_EPS, Modulus, check_eps
 from .geometry import (
     Line,
     Point,
@@ -51,12 +50,8 @@ ENV_EPS = "MUBGEO_EPS"
 
 def _resolve_eps(args) -> float:
     if getattr(args, "eps", None) is not None:
-        eps = float(args.eps)
-    else:
-        eps = float(os.environ.get(ENV_EPS, DEFAULT_EPS))
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    return eps
+        return check_eps(args.eps)
+    return check_eps(os.environ.get(ENV_EPS, DEFAULT_EPS))
 
 
 def _peak_bytes(d: int, command: str, scope: str) -> int:
@@ -139,13 +134,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_verify(args) -> int:
     mod = Modulus(args.d)
-    eps = _resolve_eps(args)
-    ceiling = 1.0 / (2 * mod.d * mod.d)
-    if eps >= ceiling:
-        raise ValueError(
-            f"eps {eps:g} is not below 1/(2 d^2) = {ceiling:.3g}: held to d*eps, the 1/d gap"
-            " of the point Gram cases could no longer fail"
-        )
+    eps = check_eps(_resolve_eps(args), mod.d)
     what = f"verify --scope {args.scope} at d={mod.d}"
     _refuse_beyond_memory(what, _peak_bytes(mod.d, "verify", args.scope))
     reports = []

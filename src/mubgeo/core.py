@@ -6,6 +6,7 @@ numpy complex arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,6 +15,24 @@ import numpy as np
 from .errors import DimensionMismatchError, NotPrimeError, UnsupportedDimensionError
 
 DEFAULT_EPS = 1e-10
+
+
+def check_eps(eps: float, d: int | None = None) -> float:
+    """eps as a float, once it is positive and finite and, given d, below 1/(2 d^2).
+
+    The operator battery holds the 1/d gap of its point Gram cases to d * eps, so at or
+    above that ceiling a wrong operator could pass every check.
+    """
+    eps = float(eps)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    ceiling = 1.0 / (2 * d * d) if d else math.inf
+    if eps >= ceiling:
+        raise ValueError(
+            f"eps {eps:g} is not below 1/(2 d^2) = {ceiling:.3g}: held to d*eps, the 1/d gap"
+            " of the point Gram cases could no longer fail"
+        )
+    return eps
 
 
 def is_prime(n: int) -> bool:

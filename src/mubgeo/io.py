@@ -3,7 +3,7 @@
 Floats are printed with 17 significant digits, enough to round-trip float64
 exactly, so write -> read -> write is the identity on bytes. The phase-space
 tables are finite by construction; matrix_to_json checks its matrix once.
-One reader and one writer serve both CSV tables, driven by their label layout.
+One reader and one writer serve both CSV tables, driven by their table's class.
 """
 
 from __future__ import annotations
@@ -16,25 +16,18 @@ from itertools import islice
 import numpy as np
 
 from .core import Modulus
-from .errors import IncompleteProbabilitiesError, MissingLineError
 from .phasespace import MubProbabilities, QuasiDistribution
 
 
-# A CSV table's header, name, label error and word, the map of its labels (i, j) to the cells
-# [r, c] of a (d + extra) x d table and back, and the class of the table
-_Layout = namedtuple("_Layout", "header name error word extra cell label table")
-
-# quasi-distribution values by line (m_minus1, m0) in cell [m_minus1, m0]
-_LINES = _Layout("m_minus1,m0,value", "quasi-distribution CSV", MissingLineError, "line", 0,
-                lambda i, j: (i, j), lambda r, c: (r, c), QuasiDistribution)
-# probabilities by point (m, b) in cell [b + 1, m]: the reference column b = -1 first
-_POINTS = _Layout("m,b,value", "probability CSV", IncompleteProbabilitiesError, "point", 1,
-                 lambda i, j: (j + 1, i), lambda r, c: (c, r - 1), MubProbabilities)
+# A CSV table's header, its name in messages, and its table class, which holds the label facts
+_Layout = namedtuple("_Layout", "header name table")
+_LINES = _Layout("m_minus1,m0,value", "quasi-distribution CSV", QuasiDistribution)
+_POINTS = _Layout("m,b,value", "probability CSV", MubProbabilities)
 
 
 def _rows(table: np.ndarray, layout: _Layout, entry: str, sep: str):
     """Each row as one string: entry (two %d for the label, one %%.17g) per cell, joined by sep."""
-    i, j = layout.label(*np.indices(table.shape))
+    i, j = layout.table.label(*np.indices(table.shape))
     for row, labels in zip(table.tolist(), zip(i.tolist(), j.tolist())):
         yield sep.join(map(entry.__mod__, zip(*labels))) % tuple(row)
 
@@ -98,8 +91,8 @@ def _read_csv(text: str, mod: Modulus, layout: _Layout):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != layout.header:
         raise ValueError(f"{layout.name} must start with header {layout.header!r}")
-    d, name, word = mod.d, layout.name, layout.word
-    size = (d + layout.extra) * d
+    d, name, kind = mod.d, layout.name, layout.table
+    word, size = kind.word, (d + kind.extra) * d
     cells: dict[int, float] = {}  # by flat cell index r * d + c
     for ln in lines[1:]:
         fields = ln.split(",")
@@ -111,19 +104,19 @@ def _read_csv(text: str, mod: Modulus, layout: _Layout):
             raise ValueError(f"malformed {name} row {fields!r}: {exc}") from exc
         if not math.isfinite(v):
             raise ValueError(f"{name} value {fields[2]!r} is not finite")
-        r, c = layout.cell(i, j)
-        if not (0 <= r < d + layout.extra and 0 <= c < d):
-            raise layout.error(f"{word} label ({i},{j}) is out of range for d={d}")
+        r, c = kind.cell(i, j)
+        if not (0 <= c < d and 0 <= r * d + c < size):  # r within the d + extra rows
+            raise kind.error(f"{word} label ({i},{j}) is out of range for d={d}")
         if r * d + c in cells:
-            raise layout.error(f"duplicate row for {word} ({i},{j})")
+            raise kind.error(f"duplicate row for {word} ({i},{j})")
         cells[r * d + c] = v
     if len(cells) < size:  # name the first four missing; the scan stops after them
         missing = islice((k for k in range(size) if k not in cells), 4)
-        shown = ", ".join("(%d,%d)" % layout.label(*divmod(k, d)) for k in missing)
-        raise layout.error(f"{size - len(cells)} {word} labels missing (first: {shown})")
+        shown = ", ".join("(%d,%d)" % kind.label(*divmod(k, d)) for k in missing)
+        raise kind.error(f"{size - len(cells)} {word} labels missing (first: {shown})")
     table = np.empty(size)
     table[np.fromiter(cells, np.intp, size)] = np.fromiter(cells.values(), float, size)
-    return layout.table(mod, table.reshape(-1, d))
+    return kind(mod, table.reshape(-1, d))
 
 
 def quasi_to_csv(quasi: QuasiDistribution) -> str:

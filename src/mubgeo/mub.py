@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_EPS, Modulus, roots_of_unity
+from .core import DEFAULT_EPS, Modulus, check_eps, roots_of_unity
 from .geometry import CB_COLUMN, _integral
-from .report import AxiomReport, witness
+from .report import AxiomReport, offending
 
 
 def z_matrix(mod: Modulus) -> np.ndarray:
@@ -70,7 +70,7 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     (X Z^b v)[n] = omega^(b(n-1)) v[n-1], so each basis is moved by a cyclic gather and a
     phase multiply, one basis at a time.
     """
-    d = mod.d
+    d, eps = mod.d, check_eps(eps)
     roots = np.array(roots_of_unity(d))
     n = np.arange(d)
     family = mub_family(mod)
@@ -84,9 +84,8 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     return AxiomReport.from_findings(
         d,
         {
-            "mub.eigenrelation": witness(
-                worst > eps,
-                lambda i: f"state (m={int(np.argmax(norms[i]))}, b={i - 1})"
+            "mub.eigenrelation": offending(
+                worst, eps, lambda i: f"state (m={int(np.argmax(norms[i]))}, b={i - 1})"
                 f" has residual {worst[i]:.3e}",
             )
         },
@@ -95,7 +94,7 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
 
 def verify_unbiasedness(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     """Check each basis is orthonormal and cross-basis overlaps all have magnitude 1/sqrt(d)."""
-    d = mod.d
+    d, eps = mod.d, check_eps(eps)
     family = mub_family(mod)
     target = 1.0 / math.sqrt(d)
     eye = np.eye(d)
@@ -108,12 +107,11 @@ def verify_unbiasedness(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     return AxiomReport.from_findings(
         d,
         {
-            "mub.orthonormal": witness(
-                on > eps, lambda i: f"basis b={i - 1} deviates from orthonormality by {on[i]:.3e}"
+            "mub.orthonormal": offending(
+                on, eps, lambda i: f"basis b={i - 1} deviates from orthonormality by {on[i]:.3e}"
             ),
-            "mub.unbiased": witness(
-                cross > eps,
-                lambda i, j: f"bases b={i - 1}, b={j - 1} overlap off 1/sqrt(d)"
+            "mub.unbiased": offending(
+                cross, eps, lambda i, j: f"bases b={i - 1}, b={j - 1} overlap off 1/sqrt(d)"
                 f" by {cross[i, j]:.3e}",
             ),
         },

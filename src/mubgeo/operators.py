@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_EPS, Modulus, roots_of_unity
+from .core import DEFAULT_EPS, Modulus, check_eps, roots_of_unity
 from .geometry import (
     CB_COLUMN,
     Line,
@@ -25,7 +25,7 @@ from .geometry import (
     format_point,
 )
 from .mub import mub_family
-from .report import AxiomReport, first_witnesses, witness
+from .report import AxiomReport, first_witnesses, offending
 
 
 def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
@@ -275,7 +275,8 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     the direct routes; the rest is read off them, not off the routes (_deviations),
     in O(d^3) entries and O(d^5) time. Summed identities are held to d*eps, floored
     at 16 d^2 2^-52: their rounding alone reached 3.2 d^2 2^-52 over d = 3..47
-    (op.global_sum at d = 41). The routes and the Hermiticity are held to eps.
+    (op.global_sum at d = 41). The routes and the Hermiticity are held to eps, which must be
+    below 1/(2 d^2), or the 1/d gap of the point Gram cases could no longer fail.
     A failing check names its first offending label, or pair, in label order and
     its deviation; where the sweep holds one number for it, _first_offending_rows decides.
     """
@@ -285,14 +286,14 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
         "c": lambda c: str(c - 1),
     }
     findings: dict[str, str] = {}
-    for check, devs, tol, what, kinds in _deviations(mod, eps):
+    for check, devs, tol, what, kinds in _deviations(mod, check_eps(eps, mod.d)):
 
-        def named(start, devs):  # the first deviation above tol; devs' first row is label start
+        def named(start, devs):  # the first deviation not within tol; devs' row 0 is label start
             def text(*at):
                 names = (label[k](i + s) for k, i, s in zip(kinds, at, (start, 0)))
                 return what.format(*names) + f" {devs[at]:.3e}"
 
-            return witness(~(np.asarray(devs) <= tol), text)
+            return offending(devs, tol, text)
 
         exact = np.ndim(devs) < len(kinds) and not devs <= tol
         findings[check] = findings.get(check) or (

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_EPS, Modulus, as_square_matrix, hermiticity_defect
+from .core import DEFAULT_EPS, Modulus, as_square_matrix, check_eps, hermiticity_defect
 from .errors import (
     ColumnNotNormalizedError,
     DimensionMismatchError,
@@ -48,63 +48,59 @@ from .errors import (
     NonHermitianInputError,
     NormOutOfRangeError,
 )
-from .geometry import Line, Point, check_line, check_point
-
-
-def _frozen_table(values, what: str, error: type, label: str, *shape: int) -> np.ndarray:
-    """values as a read-only float table of the given shape, one per label; real and finite."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"{what} must be real")
-    arr = arr.astype(float)
-    if arr.shape != shape:
-        raise error(
-            f"need one value per {label}, a {shape[0]}x{shape[1]} table; got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    arr.setflags(write=False)
-    return arr
+from .geometry import check_line, check_point
 
 
 @dataclass(frozen=True, eq=False)
-class QuasiDistribution:
-    """Real coefficients indexed by line labels: values[m_minus1, m0]."""
+class _LabelTable:
+    """A read-only table of one real, finite value per label of one dual-plane label set.
+
+    A subclass states each fact of its table once, for this class and io's CSV reader and writer:
+    the noun of its messages, the label word, the error of a table that misses labels, the rows
+    beyond d, the label check, and the map from label (i, j) to cell [r, c] with its inverse.
+    """
 
     mod: Modulus
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.mod.d
-        table = _frozen_table(self.values, "quasi-distribution values", MissingLineError, "line", d, d)
-        object.__setattr__(self, "values", table)
+        if np.iscomplexobj(self.values):
+            raise ValueError(f"{self.noun} must be real")
+        arr = np.array(self.values, dtype=float)
+        shape = (self.mod.d + self.extra, self.mod.d)
+        if arr.shape != shape:
+            raise self.error(
+                f"need one value per {self.word}, a {shape[0]}x{shape[1]} table; got shape {arr.shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{self.noun} must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
-    def value(self, line: Line) -> float:
-        check_line(self.mod, line)
-        return float(self.values[line.m_minus1, line.m0])
+    def value(self, label) -> float:
+        self.check(self.mod, label)
+        return float(self.values[self.cell(*label)])
+
+
+class QuasiDistribution(_LabelTable):
+    """Real coefficients indexed by line labels: values[m_minus1, m0]."""
+
+    noun, word, error, extra = "quasi-distribution values", "line", MissingLineError, 0
+    check = staticmethod(check_line)
+    cell = label = staticmethod(lambda i, j: (i, j))
 
     def normalization(self) -> float:
         """(1/d) times the sum of all values; equals the trace of the mapped operator."""
         return float(self.values.sum() / self.mod.d)
 
 
-@dataclass(frozen=True, eq=False)
-class MubProbabilities:
+class MubProbabilities(_LabelTable):
     """Basis-measurement probabilities indexed by point labels: values[b+1, m]."""
 
-    mod: Modulus
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = self.mod.d
-        table = _frozen_table(
-            self.values, "probabilities", IncompleteProbabilitiesError, "point", d + 1, d
-        )
-        object.__setattr__(self, "values", table)
-
-    def value(self, point: Point) -> float:
-        check_point(self.mod, point)
-        return float(self.values[point.b + 1, point.m])
+    noun, word, error, extra = "probabilities", "point", IncompleteProbabilitiesError, 1
+    check = staticmethod(check_point)
+    cell = staticmethod(lambda m, b: (b + 1, m))  # the reference column b = -1 first
+    label = staticmethod(lambda r, c: (c, r - 1))
 
     def column_sums(self) -> np.ndarray:
         """Sum over m for each column b = -1..d-1; each must be 1 for a true state."""
@@ -205,8 +201,7 @@ def _slices(mod: Modulus) -> tuple[np.ndarray, np.ndarray]:
 def _reconstruct_index(mod: Modulus) -> np.ndarray:
     """Flat index of row half(n + n'), frequency n - n' into a d x d table, as a table [n, n']."""
     n, k = np.indices((mod.d, mod.d))
-    (index,) = _read_only(mod.half(n + k) * mod.d + (n - k) % mod.d)
-    return index
+    return _read_only(mod.half(n + k) * mod.d + (n - k) % mod.d)[0]
 
 
 def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistribution:
@@ -220,7 +215,7 @@ def map_operator(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> QuasiDistrib
     scale, limit = _scale(b), np.finfo(float).max / mod.d
     if scale > limit:
         raise NormOutOfRangeError(f"input's Frobenius norm exceeds the float max / d = {limit:.4g}")
-    tol = eps * scale
+    tol = check_eps(eps) * scale
     _check_hermitian(b, tol, "input")
     return QuasiDistribution(mod, _real(_line_coefficients(b), b, tol, "coefficients"))
 
@@ -274,17 +269,16 @@ def validate_density_matrix(mod: Modulus, matrix, eps: float = DEFAULT_EPS) -> n
     No eigenvalue may lie below -d eps. A Cholesky certificate settles most states;
     eigvalsh decides the rest, so a verdict and its message are those of eigvalsh alone.
     """
-    rho = as_square_matrix(matrix, mod.d)
+    eps, rho = check_eps(eps), as_square_matrix(matrix, mod.d)
     with np.errstate(over="ignore"):  # a defect or trace past the float range reads inf, and fails
         _check_hermitian(rho, eps, "state")
         trace = complex(np.trace(rho))
     if abs(trace - 1.0) > mod.d * eps:
         raise ValueError(f"state must have unit trace, got {trace:.12g}")
-    if _certified_above(rho, mod.d * eps):
-        return rho
-    lowest = float(np.linalg.eigvalsh(rho).min())
-    if lowest < -mod.d * eps:
-        raise ValueError(f"state has negative eigenvalue {lowest:.6g}")
+    if not _certified_above(rho, mod.d * eps):
+        lowest = float(np.linalg.eigvalsh(rho).min())
+        if lowest < -mod.d * eps:
+            raise ValueError(f"state has negative eigenvalue {lowest:.6g}")
     return rho
 
 
@@ -306,7 +300,7 @@ def quasi_from_probabilities(
     Each column must sum to 1 within eps (every basis is measured completely);
     then V(j) is the sum of the d+1 incident probabilities minus 1, found by inverting the slices.
     """
-    mod = probs.mod
+    mod, eps = probs.mod, check_eps(eps)
     sums = probs.column_sums()
     off = np.abs(sums - 1.0)
     worst = int(np.argmax(off))

@@ -62,6 +62,11 @@ def witness(mask: np.ndarray, describe: Callable[..., str]) -> str:
     return describe(*(int(i) for i in hits[0])) if len(hits) else ""
 
 
+def offending(devs, tol: float, describe: Callable[..., str]) -> str:
+    """describe(*index) at the first deviation not within tol, a nan included, else ""."""
+    return witness(~(np.asarray(devs) <= tol), describe)
+
+
 def first_witnesses(blocks: Iterable, rows: Callable, *tests: Callable[..., str]) -> list[str]:
     """Each test's first witness in the rows of the blocks, read in order, or "".
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,15 @@ from mubgeo.errors import (
     DimensionMismatchError,
     NotPrimeError,
     UnsupportedDimensionError,
+)
+from mubgeo.mub import verify_eigenrelation, verify_unbiasedness
+from mubgeo.operators import verify_operator_identities
+from mubgeo.phasespace import (
+    MubProbabilities,
+    map_operator,
+    probabilities_from_state,
+    quasi_from_probabilities,
+    validate_density_matrix,
 )
 
 
@@ -96,3 +107,36 @@ def test_hermiticity_defect_locates_entry():
     defect, entry = hermiticity_defect(m)
     assert defect == pytest.approx(1.0)
     assert entry in ((0, 2), (2, 0))
+
+
+MOD5 = Modulus(5)
+# inputs that a bad eps let through: a non-Hermitian matrix, and columns that sum to 2.5
+NON_HERMITIAN = np.arange(25).reshape(5, 5)
+SUMS_TO_2_5 = MubProbabilities(MOD5, np.full((6, 5), 0.5))
+
+# every public function that takes eps, called with it
+TAKES_EPS = {
+    "map_operator": lambda eps: map_operator(MOD5, NON_HERMITIAN, eps),
+    "validate_density_matrix": lambda eps: validate_density_matrix(MOD5, np.eye(5) / 5, eps),
+    "probabilities_from_state": lambda eps: probabilities_from_state(MOD5, np.eye(5) / 5, eps),
+    "quasi_from_probabilities": lambda eps: quasi_from_probabilities(SUMS_TO_2_5, eps),
+    "verify_eigenrelation": lambda eps: verify_eigenrelation(MOD5, eps),
+    "verify_unbiasedness": lambda eps: verify_unbiasedness(MOD5, eps),
+    "verify_operator_identities": lambda eps: verify_operator_identities(MOD5, eps),
+}
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0, -1])
+@pytest.mark.parametrize("function", TAKES_EPS)
+def test_every_function_that_takes_eps_refuses_a_bad_one(function, eps):
+    # an eps of inf passed any defect, and nan compared false, with the CLI's text
+    message = f"eps must be positive and finite, got {float(eps)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TAKES_EPS[function](eps)
+
+
+def test_the_operator_battery_refuses_eps_at_its_ceiling():
+    # held to d*eps, the 1/d gap of the point Gram cases could not fail at 1/(2 d^2) = 0.02
+    with pytest.raises(ValueError, match=re.escape("is not below 1/(2 d^2) = 0.02")):
+        verify_operator_identities(MOD5, 0.02)
+    assert verify_operator_identities(MOD5, 0.0199).passed

@@ -67,3 +67,32 @@ def test_src_stays_within_its_line_budget():
     paths = Path(mubgeo.__file__).parent.glob("*.py")
     lines = sum(len(path.read_text().splitlines()) for path in paths)
     assert lines <= SRC_LINE_BUDGET, f"src/mubgeo has {lines} lines; budget {SRC_LINE_BUDGET}"
+
+
+def exceeds_tolerance(source: str) -> list[int]:
+    """Lines that fail a value only when it exceeds eps or tol (x > tol, tol < x and their >=, <=).
+
+    nan compares false, so such a check passes a nan deviation; report.offending fails it.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        for left, op, right in zip(sides, node.ops, sides[1:]):
+            bound = right if isinstance(op, (ast.Gt, ast.GtE)) else left  # the side exceeded
+            names = {n.id for n in ast.walk(bound) if isinstance(n, ast.Name)}
+            if isinstance(op, (ast.Gt, ast.GtE, ast.Lt, ast.LtE)) and names & {"eps", "tol"}:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_comparisons_with_a_tolerance_are_found():
+    source = "a = x > eps\nb = 2 * tol <= y\nc = x <= tol\nd = x > 2 * y\ne = 0 < x >= d * eps\n"
+    assert exceeds_tolerance(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("name", ["mub.py", "operators.py"])
+def test_checks_decide_through_offending(name):
+    # every float check of the verifiers fails a deviation not within its tolerance, nan included
+    assert exceeds_tolerance((Path(mubgeo.__file__).parent / name).read_text()) == []

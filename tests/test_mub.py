@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from test_mutants import NAN_FAULT, VERIFIERS, outcome
+
+from mubgeo import mub
 
 from mubgeo.core import DEFAULT_EPS, Modulus, omega_power
 from mubgeo.mub import (
@@ -152,3 +155,14 @@ def test_unbiasedness_report(d):
 def test_eigenrelation_reads_z_powers_off_the_root_table():
     # X Z^b read off the table of roots leaves residuals below 1e-15 at d = 47
     assert verify_eigenrelation(Modulus(47), eps=5e-15).passed
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_a_nan_amplitude_fails_every_mub_check(monkeypatch, d):
+    # nan compares false, so checks that failed only a deviation above eps passed it
+    verifiers = [v for v in VERIFIERS if v[0] is mub]
+    assert outcome(monkeypatch, d, *NAN_FAULT, verifiers) == [
+        ["mub.eigenrelation", "state (m=2, b=1) has residual nan"],
+        ["mub.orthonormal", "basis b=1 deviates from orthonormality by nan"],
+        ["mub.unbiased", "bases b=-1, b=1 overlap off 1/sqrt(d) by nan"],
+    ]

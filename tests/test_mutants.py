@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from faults import inject, replace_with
+from oracle import dense_operator_battery
 
 from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
@@ -89,12 +90,13 @@ VERIFIERS = (
     ),
 )
 
-# checks that no single fault of these rules can fail, with the reason (also in the README)
+# checks that no single finite fault of these rules can fail, with the reason (also in the
+# README); NAN_FAULT fails them
 UNFAILABLE = {
     "op.point_hermitian": "each projector is the outer product of one state with itself,"
-    " which is Hermitian to the last bit whatever the state",
+    " which is Hermitian within rounding whatever the finite state",
     "op.line_hermitian": "each line operator is a sum of such outer products minus I,"
-    " Hermitian to the last bit whatever states or points the rules give",
+    " Hermitian within rounding whatever finite states or points the rules give",
 }
 
 
@@ -153,6 +155,11 @@ def _collinear(answer):
 
 # (rule, label, what, fix) of the mutants written out by hand, at each d
 EXTRA = (("_apg_line_points", (0, 0), "point 2 is 0,1", _collinear),)
+
+
+# (rule, label, fix) of a nan amplitude, at n = 3 of state (m=2, b=1): the only fault that fails
+# the two UNFAILABLE checks, and one that the mub checks passed while they failed only above eps
+NAN_FAULT = ("_states", (2, 1), _at(3, np.nan))
 
 
 def _name(label) -> str:
@@ -280,6 +287,76 @@ def test_every_check_is_failed_by_some_mutant(catalogue):
     checks = check_names()
     assert len(checks) == 33
     assert [c for c in checks if c not in failed] == list(UNFAILABLE)
+
+
+def test_every_check_fails_on_some_committed_input(catalogue):
+    # the catalogue and the nan fault together fail each of the 33 checks: none passes vacuously
+    failed = {check for found in catalogue.values() for check, _ in found}
+    with pytest.MonkeyPatch.context() as mp:
+        failed.update(check for check, _ in outcome(mp, 5, *NAN_FAULT, reading(NAN_FAULT[0])))
+    assert [c for c in check_names() if c not in failed] == []
+
+
+def _whole_basis(monkeypatch, basis: int, cycled: bool) -> None:
+    """Patch mub._states: every state of one basis times e^(0.3i), or its states cycled m -> m+1."""
+    original = mub._states
+
+    def faulty(mod, m, b):
+        hit = np.asarray(b) == basis
+        if cycled:
+            return original(mod, np.where(hit, (np.asarray(m) + 1) % mod.d, m), b)
+        return original(mod, m, b) * np.where(hit, np.exp(0.3j), 1)[..., None]
+
+    monkeypatch.setattr(mub, "_states", faulty)
+
+
+# the failing checks of a whole-basis fault: a common phase leaves every projector as it was,
+# while cycled states keep the bases unbiased and the line operators' net but not their labels
+WHOLE_BASIS_FAILURES = {
+    False: [],
+    True: [
+        "mub.eigenrelation",
+        "op.line_involution",
+        "op.cross_term_distillation",
+        "op.point_route_equality",
+        "op.line_route_equality",
+    ],
+}
+
+
+@lru_cache(maxsize=None)
+def whole_basis_family(d: int) -> tuple:
+    """(basis, cycled, failing checks, block battery report, dense battery report) per mutant.
+
+    The failing checks are those of the verifiers that read mub._states, in report order.
+    """
+    out = []
+    for basis in range(-1, d):
+        for cycled in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                _whole_basis(mp, basis, cycled)
+                mub.mub_family.cache_clear()
+                try:
+                    reports = [getattr(m, name)(Modulus(d)) for m, name, _ in reading("_states")]
+                    dense = dense_operator_battery(Modulus(d))[0]
+                finally:
+                    mub.mub_family.cache_clear()
+            failed = [c.axiom for r in reports for c in r.checks if not c.ok]
+            out.append((basis, cycled, failed, reports[-1], dense))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_whole_basis_faults_match_the_dense_battery(d):
+    # ROADMAP item 2's phases and shifts of one whole basis, which keep its structure
+    for basis, cycled, failed, block, dense in whole_basis_family(d):
+        assert block == dense, (basis, cycled)
+        assert failed == WHOLE_BASIS_FAILURES[cycled], (basis, cycled)
+
+
+def test_whole_basis_family_holds_a_passing_and_a_failing_mutant():
+    verdicts = {not failed for d in DIMS for _, _, failed, _, _ in whole_basis_family(d)}
+    assert verdicts == {True, False}
 
 
 def changes(old: dict, new: dict) -> tuple[int, int, int, int, int]:
