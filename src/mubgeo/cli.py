@@ -65,15 +65,14 @@ def _peak_bytes(d: int, command: str, scope: str) -> int:
     d = 101); the operator battery, and the exact pass that decides a failed
     bound of it, a handful of complex arrays of d^3 entries, one block of d
     labels each (tracemalloc ~132-139 d^3 bytes at d = 31..61, passing and
-    failing alike, against the 400 d^3 allowed); the mub checks the cached family
-    and, for the unbiasedness check, the Grams of one basis with every later
-    basis (tracemalloc 48.1 (d+1) d^2 bytes at d = 113 and 151; the eigenrelation
-    check, which moves one basis at a time, 32.1, which is the family's build).
-    Scopes run one after another, so --scope all needs the largest. Measured
-    peaks of --scope all: ~32 MB at d = 19, ~38 MB at d = 31; of --scope
-    operators: ~37 MB at d = 31 (~37 MB with every bound failed), ~49 MB at d =
-    47, ~224 MB at d = 101; of --scope mub: 98 MiB at d = 113, 243 MiB at d =
-    151, both set by the unbiasedness check.
+    failing alike, against the 400 d^3 allowed); the unbiasedness check every
+    state and the Gram of one basis with every later one (tracemalloc 48.0 (d+1)
+    d^2 bytes at d = 113 and 151), the eigenrelation check one basis at a time
+    (0.7 and 0.4). Scopes run one after another, so --scope all needs the
+    largest. Measured peaks of --scope all: ~32 MB at d = 19, ~38 MB at d = 31;
+    of --scope operators: ~37 MB at d = 31 (~37 MB with every bound failed), ~49
+    MB at d = 47, ~224 MB at d = 101; of --scope mub: 99 MiB at d = 113, 190 MiB
+    at d = 151, both set by the unbiasedness check.
 
     Of show operator, 160 d^2: the JSON text of the matrix sets the peak, ~117
     bytes per entry for a point operator, whose entries all print 17 digits:

@@ -12,6 +12,7 @@ import json
 import math
 from collections import namedtuple
 from itertools import islice
+from sys import float_info
 
 import numpy as np
 
@@ -73,10 +74,9 @@ def parse_matrix_json(text: str) -> np.ndarray:
             or any(not isinstance(r, list) or len(r) != d for r in rows)
         ):
             raise ValueError(f"matrix file key {key!r} must be a {d}x{d} array")
-        for r in rows:
-            for v in r:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                    raise ValueError(f"matrix entry {v!r} is not a finite number")
+        for v in (v for r in rows for v in r):  # an int past the float range compares exactly
+            if type(v) not in (int, float) or not abs(v) <= float_info.max:  # bool is no number
+                raise ValueError(f"matrix entry {v!r} is not a finite number")
         parts.append(np.array(rows, dtype=float))
     return parts[0] + 1j * parts[1]
 

@@ -8,7 +8,6 @@ each basis the eigenbasis of X Z^b with state m carrying eigenvalue omega^m.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,35 +50,49 @@ def _states(mod: Modulus, m, b) -> np.ndarray:
     return np.where(b == CB_COLUMN, n == m, chirp)
 
 
-@lru_cache(maxsize=4)
-def mub_family(mod: Modulus) -> np.ndarray:
-    """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m].
+def _point_states(mod: Modulus) -> np.ndarray:
+    """Every state by point_index as [point, n], from one call of _states, built on each call."""
+    return _states(mod, np.arange(mod.d), np.arange(CB_COLUMN, mod.d)[:, None]).reshape(-1, mod.d)
 
-    The family takes 16 (d+1) d^2 bytes, so only the last four d are kept.
-    """
-    states = _states(mod, np.arange(mod.d), np.arange(CB_COLUMN, mod.d)[:, None])  # [b+1, m, n]
-    family = np.ascontiguousarray(np.swapaxes(states, 1, 2))
+
+def mub_family(mod: Modulus) -> np.ndarray:
+    """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m]."""
+    family = np.swapaxes(_point_states(mod).reshape(mod.d + 1, mod.d, mod.d), 1, 2)
     family.setflags(write=False)
     return family
+
+
+def _overlaps(states: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """max |G - I| per column and max ||G| - 1/sqrt(d)| per pair of columns, G the states' Gram."""
+
+    def column(c):  # one GEMM against itself and the later columns, whose arrays go on return
+        gram = states[c * d : (c + 1) * d].conj() @ states[c * d :].T
+        later = np.abs(np.abs(gram[:, d:]) - 1 / math.sqrt(d)).reshape(d, -1, d)
+        return np.abs(gram[:, :d] - np.eye(d)).max(), later.max(axis=(0, 2))
+
+    on, cross = np.empty(d + 1), np.zeros((d + 1, d + 1))  # cross[c, c'] for c < c' only
+    for c in range(d + 1):
+        on[c], cross[c, c + 1 :] = column(c)
+    return on, cross
 
 
 def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     """Check X Z^b state(m,b) = omega^m state(m,b) for every basis and state.
 
-    Basis -1 is checked against Z alone, whose eigenbasis it is. X Z^b is monomial,
-    (X Z^b v)[n] = omega^(b(n-1)) v[n-1], so each basis is moved by a cyclic gather and a
-    phase multiply, one basis at a time.
+    Basis -1 is checked against Z alone, whose eigenbasis it is. X Z^b is monomial:
+    (X Z^b v)[n] = omega^(b(n-1)) v[n-1], a gather and a phase, one basis of _states at a time.
     """
     d, eps = mod.d, check_eps(eps)
     roots = np.array(roots_of_unity(d))
     n = np.arange(d)
-    family = mub_family(mod)
-    norms = np.empty((d + 1, d))
-    norms[0] = np.linalg.norm(roots[:, None] * family[0] - family[0] * roots, axis=0)
-    for b in range(d):
-        basis = family[b + 1]
-        moved = roots[b * (n - 1) % d, None] * basis[n - 1]
-        norms[b + 1] = np.linalg.norm(moved - basis * roots, axis=0)
+
+    def residuals(b):  # of each state m of basis b, in place; the arrays go on return
+        basis = _states(mod, n, b)  # [m, n]
+        moved = basis * roots if b == CB_COLUMN else roots[b * (n - 1) % d] * basis[:, n - 1]
+        moved -= np.multiply(roots[:, None], basis, out=basis)
+        return np.linalg.norm(moved, axis=1)
+
+    norms = np.array([residuals(b) for b in range(CB_COLUMN, d)])
     worst = norms.max(axis=1)
     return AxiomReport.from_findings(
         d,
@@ -95,15 +108,7 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
 def verify_unbiasedness(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     """Check each basis is orthonormal and cross-basis overlaps all have magnitude 1/sqrt(d)."""
     d, eps = mod.d, check_eps(eps)
-    family = mub_family(mod)
-    target = 1.0 / math.sqrt(d)
-    eye = np.eye(d)
-    on = np.empty(d + 1)
-    cross = np.zeros((d + 1, d + 1))
-    for i, basis in enumerate(family):
-        gram = basis.conj().T @ family[i:]
-        on[i] = np.abs(gram[0] - eye).max()
-        cross[i, i + 1 :] = np.abs(np.abs(gram[1:]) - target).max(axis=(1, 2))
+    on, cross = _overlaps(_point_states(mod), d)
     return AxiomReport.from_findings(
         d,
         {

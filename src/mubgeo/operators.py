@@ -24,7 +24,7 @@ from .geometry import (
     format_line,
     format_point,
 )
-from .mub import mub_family
+from .mub import _overlaps, _point_states
 from .report import AxiomReport, first_witnesses, offending
 
 
@@ -93,7 +93,7 @@ def _tables(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A point counts once in its row [line_index, b + 1], in its first column, as in N.
     """
-    states = mub_family(mod).transpose(0, 2, 1).reshape(-1, mod.d)
+    states = _point_states(mod)
     at = _line_point_index(mod)
     order = np.argsort(at, axis=1, kind="stable")
     first = np.ones(at.shape, dtype=bool)
@@ -125,20 +125,21 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     each holds O(d^3) entries. Each line operator is built from the states of
     the distinct points on its row, as Psi^T conj(Psi) - I, and only the two
     route checks read the direct routes. The rest is read off the objects each
-    identity is about: tr(A_p A_q) = |<psi_p|psi_q>|^2, A_p^2 - A_p =
-    (|psi_p|^2 - 1) A_p. When the collinearity counts are those of the plane
+    identity is about: A_p^2 - A_p = (|psi_p|^2 - 1) A_p, and tr(A_p A_q) = |G|^2,
+    G the states' Gram, bounded off mub._overlaps: |G - I| <= on in a column gives
+    abs(|G|^2 - I) <= on (2 + on), ||G| - 1/sqrt(d)| <= x across two gives
+    abs(|G|^2 - 1/d) <= x (x + 2/sqrt(d)); an entry in a column rounds to ~10 times
+    one across, so the two are kept apart. With the plane's collinearity counts
     (geometry._has_plane_counts), line j holds one point of p's column and d
-    points across, so tr(A_p P_j) - N[p, j] is one Gram deviation within a
-    column plus d across two columns, less |psi_p|^2 - 1; and tr(P_j P_k) is
-    the sum of tr(A_q P_j) over the d+1 points q of k, less tr(P_j), so the
-    line Gram is within d+1 times the incidence bound plus the norms'. The two
-    Gram maxima are kept apart, as a Gram entry within a column rounds to ~10
-    times one across. The cross terms are the square's deviation plus the
-    norms'. The line average at a point sums the column sums under the same
+    across, so tr(A_p P_j) - N[p, j] is one Gram deviation in a column plus d
+    across two, less |psi_p|^2 - 1; tr(P_j P_k) sums tr(A_q P_j) over the d+1
+    points q of k, less tr(P_j), so the line Gram is within d+1 times the
+    incidence bound plus the norms'. The cross terms are the square's deviation
+    plus the norms', the line average at a point the column sums under the same
     counts. op.point_projector has two bounds, law then trace.
 
     The deviation is one per (p)oint, (l)ine or (c)olumn where the sweep measures the
-    check's own formula, else one number: a total, a bound, or a Gram's largest entry.
+    check's own formula, else one number: a total or a bound.
     """
     d = mod.d
     eye = np.eye(d)
@@ -150,19 +151,14 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
     columns = np.empty((d + 1, d, d), dtype=complex)
-    same = cross = 0.0  # the largest point Gram deviation within a column, and across two
     for c, block in enumerate(_blocks(len(states), d)):  # column b = c - 1
-        psi = states[block]
-        a = _projectors(psi)
+        a = _projectors(states[block])
         per_point[0, block] = _each(a - a.conj().transpose(0, 2, 1))
         per_point[1, block] = np.abs(a.trace(axis1=1, axis2=2) - 1.0)
         per_point[2, block] = _each(a - _point_operators(mod, labels, c - 1))
         columns[c] = a.sum(axis=0)
-        overlaps = np.abs(psi.conj() @ states[block.start :].T) ** 2 - 1 / d  # with later columns
-        overlaps[:, :d] += 1 / d - eye
-        overlaps = np.abs(overlaps)
-        same = np.maximum(same, overlaps[:, :d].max())
-        cross = np.maximum(cross, overlaps[:, d:].max(initial=0.0))
+    on, off = (np.max(x) for x in _overlaps(states, d))
+    same, cross = on * (2 + on), off * (off + 2 / np.sqrt(d))  # bounds on abs(|G|^2 - 1, 0, 1/d)
 
     per_line = np.empty((4, len(at)))  # Hermiticity, trace, square, route
     line_total = np.zeros((d, d), dtype=complex)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import random_density
 
-from mubgeo import cli, mub
+from mubgeo import cli
 from mubgeo.core import Modulus
 from mubgeo.io import (
     matrix_to_json,
@@ -273,7 +273,6 @@ def test_verify_calls_no_per_label_function(monkeypatch, capsys, d):
         for name in PER_LABEL:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    mub.mub_family.cache_clear()
     assert cli.main(["verify", "--scope", "all", "--d", str(d)]) == 0
     assert "33/33 checks passed" in capsys.readouterr().err
 
@@ -383,6 +382,18 @@ def test_map_refuses_a_norm_past_the_float_range(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: input's Frobenius norm exceeds the float max / d = 1.78e+306\n"
+
+
+def test_map_refuses_an_integer_entry_past_the_float_range(tmp_path):
+    # exit 2 with the entry refusal, not a traceback and exit 1
+    source = tmp_path / "huge.json"
+    zeros = [[0] * 3 for _ in range(3)]
+    source.write_text(json.dumps({"d": 3, "re": [[10**400, 0, 0], *zeros[1:]], "im": zeros}))
+    result = run_cli("map", "--d", "3", "--input", str(source))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: matrix entry 1000")
+    assert result.stderr.endswith(" is not a finite number\n")
 
 
 def test_map_rejects_missing_file(tmp_path):

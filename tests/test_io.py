@@ -64,6 +64,18 @@ def test_matrix_json_rejects_malformed(text):
         parse_matrix_json(text)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["1" + "0" * 400, "-" + "9" * 309, "NaN", "Infinity"],
+    ids=["10^400", "-(10^309-1)", "nan", "inf"],
+)
+def test_matrix_json_refuses_an_entry_that_is_no_finite_float(entry):
+    # an integer past the float range is refused as nan and inf are, with no OverflowError
+    text = '{"d": 1, "re": [[%s]], "im": [[0]]}' % entry
+    with pytest.raises(ValueError, match=r"matrix entry .* is not a finite number"):
+        parse_matrix_json(text)
+
+
 def test_matrix_json_rejects_non_finite():
     m = np.zeros((2, 2), dtype=complex)
     m[0, 0] = np.inf

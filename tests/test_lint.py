@@ -59,6 +59,16 @@ def test_every_private_name_is_used(path):
     assert unused_privates(path.read_text()) == []
 
 
+@pytest.mark.parametrize("name", ["geometry.py", "mub.py", "operators.py"])
+def test_verifier_modules_cache_nothing(name):
+    # a table cached on mod outlives a fault injected into the rule it was built from, and holds
+    # its memory after the call; the verifiers evaluate their rules anew on each call
+    tree = ast.parse((Path(mubgeo.__file__).parent / name).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "functools" not in imported
+
+
 # total lines of src/mubgeo while ROADMAP items 3, 4, 8 and 9 land; raise it only on purpose
 SRC_LINE_BUDGET = 2160
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mubgeo.mub import (
     x_matrix,
     z_matrix,
 )
+from mubgeo.operators import verify_operator_identities
 
 W = np.exp(2j * np.pi / 3)
 
@@ -101,10 +103,22 @@ def test_family_layout():
                 assert np.array_equal(fam[b + 1][:, m], mub_state(mod, b, m))
 
 
-def test_family_is_held_for_the_last_four_d_only():
-    for d in (3, 5, 7, 11, 13):
-        mub_family(Modulus(d))
-    assert mub_family.cache_info().currsize == 4
+def test_the_checks_hold_no_memory_once_they_return():
+    # nothing outlives a check: all d+1 bases would hold 16 (d+1) d^2 bytes, 1.7 MB at d = 47,
+    # and the eigenrelation holds one basis of d states at a time
+    d = 47
+    mod = Modulus(d)
+    tracemalloc.start()
+    try:
+        for verify in (verify_eigenrelation, verify_unbiasedness, verify_operator_identities):
+            tracemalloc.reset_peak()
+            assert verify(mod).passed
+            held, peak = tracemalloc.get_traced_memory()
+            assert held < 64 * 2**10, verify.__name__
+            if verify is verify_eigenrelation:
+                assert peak <= 2 * (d + 1) * d * d
+    finally:
+        tracemalloc.stop()
 
 
 def test_family_arrays_are_frozen():

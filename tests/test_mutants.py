@@ -6,7 +6,7 @@ geometry._line_points (the points of each line), geometry._pencil (the lines
 through each point), geometry._parallel_class (the points of each column),
 geometry._apg_line_points (the points of each affine line),
 geometry._common_point (the closed form of the duality), mub._states (the
-chirp rule behind mub_family), operators._point_operators and
+chirp rule behind every basis state), operators._point_operators and
 operators._line_operators (the direct routes). The fault families are
 enumerated whole, for every label:
 
@@ -204,17 +204,13 @@ def outcome(monkeypatch, d: int, rule: str, label, fix, verifiers=VERIFIERS) -> 
     """The failing checks of the verifiers as [name, witness] pairs; ["error", message] for a raise."""
     inject(monkeypatch, RULES[rule][0], rule, label, fix)
     found = []
-    mub.mub_family.cache_clear()
-    try:
-        for module, name, _ in verifiers:
-            try:
-                report = getattr(module, name)(Modulus(d))
-            except ValueError as exc:
-                found.append(["error", str(exc)])
-                continue
-            found += [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
-    finally:
-        mub.mub_family.cache_clear()
+    for module, name, _ in verifiers:
+        try:
+            report = getattr(module, name)(Modulus(d))
+        except ValueError as exc:
+            found.append(["error", str(exc)])
+            continue
+        found += [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
     return found
 
 
@@ -256,11 +252,7 @@ def test_each_verifier_reads_only_its_rules(monkeypatch, module, verifier, reads
     for rule, (owner, _) in RULES.items():
         if rule not in reads:
             monkeypatch.setattr(owner, rule, refuse)
-    mub.mub_family.cache_clear()
-    try:
-        assert getattr(module, verifier)(Modulus(5)).passed
-    finally:
-        mub.mub_family.cache_clear()
+    assert getattr(module, verifier)(Modulus(5)).passed
 
 
 @pytest.mark.parametrize("rule", list(RULES))
@@ -335,12 +327,8 @@ def whole_basis_family(d: int) -> tuple:
         for cycled in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 _whole_basis(mp, basis, cycled)
-                mub.mub_family.cache_clear()
-                try:
-                    reports = [getattr(m, name)(Modulus(d)) for m, name, _ in reading("_states")]
-                    dense = dense_operator_battery(Modulus(d))[0]
-                finally:
-                    mub.mub_family.cache_clear()
+                reports = [getattr(m, name)(Modulus(d)) for m, name, _ in reading("_states")]
+                dense = dense_operator_battery(Modulus(d))[0]
             failed = [c.axiom for r in reports for c in r.checks if not c.ok]
             out.append((basis, cycled, failed, reports[-1], dense))
     return tuple(out)

@@ -14,7 +14,15 @@ from oracle import (
     point_operator,
     point_operator_stack,
 )
-from test_mutants import CATALOGUE, RULES, VERIFIERS, mutants, restricted
+from test_mutants import (
+    CATALOGUE,
+    NAN_FAULT,
+    RULES,
+    VERIFIERS,
+    _whole_basis,
+    mutants,
+    restricted,
+)
 
 from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
@@ -284,11 +292,7 @@ def test_dense_oracle_reproduces_the_mutant_catalogue(d):
             continue
         with pytest.MonkeyPatch.context() as mp:
             inject(mp, RULES[rule][0], rule, label, fix)
-            mub.mub_family.cache_clear()
-            try:
-                report, _ = dense_operator_battery(Modulus(d))
-            finally:
-                mub.mub_family.cache_clear()
+            report, _ = dense_operator_battery(Modulus(d))
         found = [[c.axiom, c.counterexample] for c in report.checks if not c.ok]
         if found != restricted(catalogue[name], [battery]):
             wrong.append(name)
@@ -321,7 +325,6 @@ def test_battery_holds_no_dense_stack():
     # a passing run at d = 47 stays below the 76 MB of one d(d+1) x d x d complex stack
     d = 47
     mod = Modulus(d)
-    mub.mub_family(mod)
     tracemalloc.start()
     try:
         assert verify_operator_identities(mod).passed
@@ -335,7 +338,6 @@ def test_battery_at_d13_holds_one_column_at_a_time():
     # a block is one column of points or one m_minus1 of lines at every d, so a passing run at
     # d = 13 stays under 1 MiB; blocks of all 14 columns at once peaked at 4.3 MiB
     mod = Modulus(13)
-    mub.mub_family(mod)
     tracemalloc.start()
     try:
         assert verify_operator_identities(mod).passed
@@ -397,13 +399,12 @@ def test_non_affine_column_relabeling_matches_the_dense_oracle(monkeypatch):
     assert exact == ["op.cross_term_distillation"]
 
 
-def test_failing_battery_holds_no_dense_stack(monkeypatch, fresh_family):
+def test_failing_battery_holds_no_dense_stack(monkeypatch):
     # a scaled state fails the bounds of the sweep, whose exact passes then decide them, block
     # by block; the whole run stays below the same 76 MB
     d = 47
     mod = Modulus(d)
     inject(monkeypatch, mub, "_states", (2, 2), _scale)
-    mub.mub_family(mod)
     exact = _count_exact_passes(monkeypatch)
     tracemalloc.start()
     try:
@@ -421,9 +422,80 @@ def test_failing_battery_holds_no_dense_stack(monkeypatch, fresh_family):
     assert peak < 16 * d * (d + 1) * d * d
 
 
-def test_battery_reads_projectors_off_the_cached_bases(monkeypatch):
+POINT_GRAM_BOUNDS = ("op.point_gram_cases", "op.incidence_trace")
+
+
+def _bounds_and_deviations(mod):
+    """The sweep's value of each point Gram bound, and the dense oracle's deviation of its check."""
+    bounds = {name: np.max(devs) for name, devs, *_ in _deviations(mod, 1e-10)}
+    dense = {name: dev for name, dev, _ in dense_operator_battery(mod)[1]}
+    return [(name, bounds[name], dense[name]) for name in POINT_GRAM_BOUNDS]
+
+
+def _copied_basis(monkeypatch, basis):
+    """Patch mub._states: basis b >= 0 answers with the states of basis b + 1 mod d.
+
+    The bases stay orthonormal, and the Gram is off only across two columns.
+    """
+    original = mub._states
+
+    def faulty(mod, m, b):
+        return original(mod, m, np.where(np.asarray(b) == basis, (basis + 1) % mod.d, b))
+
+    monkeypatch.setattr(mub, "_states", faulty)
+
+
+def test_point_gram_bounds_hold_on_faulted_states():
+    # the bounds read off mub._overlaps are at least the exhaustive deviations, less rounding, on
+    # every scaled and omega-phased amplitude, a nan amplitude, every whole-basis fault and every
+    # copied basis at d = 5; a nan deviation needs a nan bound
+    d = 5
+    slack = 16 * d * d * 2.0**-52
+    faults = [
+        (name, lambda mp, label=label, fix=fix: inject(mp, mub, "_states", label, fix))
+        for name, rule, label, fix in mutants(d)
+        if rule == "_states" and name.endswith(("scaled", "times omega"))
+    ]
+    faults.append(("nan", lambda mp: inject(mp, mub, *NAN_FAULT)))
+    for basis in range(-1, d):
+        for cycled in (False, True):
+            faults.append((f"basis {basis}", lambda mp, a=basis, c=cycled: _whole_basis(mp, a, c)))
+    faults += [(f"copied {a}", lambda mp, a=a: _copied_basis(mp, a)) for a in range(d)]
+    unsound = []
+    for name, fault in faults:
+        with pytest.MonkeyPatch.context() as mp:
+            fault(mp)
+            for check, bound, dev in _bounds_and_deviations(Modulus(d)):
+                if not (np.isnan(bound) if np.isnan(dev) else bound >= dev - slack):
+                    unsound.append((name, check, bound, dev))
+    assert len(faults) == 2 * d * (d + 1) * d + 1 + 2 * (d + 1) + d
+    assert unsound == []
+
+
+def test_a_tolerance_edge_fault_passes_the_point_gram_through_its_exact_pass(monkeypatch):
+    # 1e-9 of state (1,2) added to state (2,2) at d = 7: the Gram is off I by 1e-9 within column 2,
+    # which fails mub.orthonormal, and the bound on(2 + on) = 2e-9 exceeds the 7e-10 tolerance;
+    # the squared overlaps move by at most 2e-9/d = 2.9e-10, so the exact pass clears the check
     mod = Modulus(7)
-    mub.mub_family(mod)
+    one = mub._states(mod, 1, 2)
+
+    def mix(answer):
+        answer[0] += 1e-9 * one
+
+    inject(monkeypatch, mub, "_states", (2, 2), mix)
+    (_, bound, dev), _ = _bounds_and_deviations(mod)
+    assert dev <= 7e-10 < bound
+    exact = _count_exact_passes(monkeypatch)
+    report, _ = dense_operator_battery(mod)
+    assert verify_operator_identities(mod) == report
+    assert "op.point_gram_cases" in exact
+    assert [c.ok for c in report.checks if c.axiom == "op.point_gram_cases"] == [True]
+    failed = [c.axiom for c in mub.verify_unbiasedness(mod).checks if not c.ok]
+    assert "mub.orthonormal" in failed
+
+
+def test_battery_reads_projectors_off_the_bases(monkeypatch):
+    mod = Modulus(7)
 
     def refuse(*args):
         raise AssertionError("the battery built a basis state one at a time")
@@ -434,16 +506,9 @@ def test_battery_reads_projectors_off_the_cached_bases(monkeypatch):
     assert report.passed, [c for c in report.checks if not c.ok]
 
 
-# Fault injection at d = 5: the chirp rule answers with state m = 2 of basis b = 2 changed, so
-# mub_family holds the fault. The mub checks and the battery read that array, so both see it.
+# Fault injection at d = 5: the chirp rule answers with state m = 2 of basis b = 2 changed. The
+# mub checks and the battery evaluate the rule on each call, so both see the fault.
 MOD5 = Modulus(5)
-
-
-@pytest.fixture
-def fresh_family():
-    mub.mub_family.cache_clear()
-    yield
-    mub.mub_family.cache_clear()
 
 
 def _scaled(monkeypatch):
@@ -516,7 +581,7 @@ def _swapped(monkeypatch):
     ],
     ids=["scaled", "zeroed", "swapped"],
 )
-def test_faulted_basis_state_is_located(monkeypatch, fresh_family, fault, failures):
+def test_faulted_basis_state_is_located(monkeypatch, fault, failures):
     fault(monkeypatch)
     reports = [
         mub.verify_eigenrelation(MOD5),
@@ -526,7 +591,7 @@ def test_faulted_basis_state_is_located(monkeypatch, fresh_family, fault, failur
     assert [(c.axiom, c.counterexample) for r in reports for c in r.checks if not c.ok] == failures
 
 
-def test_nan_state_fails_every_operator_check(monkeypatch, fresh_family):
+def test_nan_state_fails_every_operator_check(monkeypatch):
     # a deviation that is not within its tolerance offends, nan included
     # and the dense oracle names the same witnesses: its sums reach only the lines through (2,2)
     inject(monkeypatch, mub, "_states", (2, 2), replace_with(np.full(5, np.nan)))

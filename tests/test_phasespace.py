@@ -420,11 +420,11 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
         raise AssertionError("a phase-space function built an operator or a basis state")
 
     for module, name in [
-        (operators, "mub_family"),
         (operators, "point_operator_direct"),
         (operators, "line_operator_direct"),
         (operators, "_point_operators"),
         (operators, "_line_operators"),
+        (operators, "_point_states"),
         (mub, "mub_state"),
         (mub, "mub_family"),
         (mub, "_states"),
