@@ -16,7 +16,6 @@ from .core import DEFAULT_EPS, Modulus, check_eps
 from .geometry import (
     Line,
     Point,
-    check_line,
     check_point,
     line_points,
     lines_through_point,
@@ -112,18 +111,6 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
         raise ValueError(f"{flag} expects integers, got {text!r}") from exc
 
 
-def _parse_line_label(mod: Modulus, text: str) -> Line:
-    line = Line(*_parse_pair(text, "--j"))
-    check_line(mod, line)
-    return line
-
-
-def _parse_point_label(mod: Modulus, text: str) -> Point:
-    point = Point(*_parse_pair(text, "--alpha"))
-    check_point(mod, point)
-    return point
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -163,26 +150,27 @@ def cmd_show(args) -> int:
     if args.kind == "line":
         if args.j is None:
             raise ValueError("show line needs --j m_minus1,m0")
-        line = _parse_line_label(mod, args.j)
+        line = Line(*_parse_pair(args.j, "--j"))
         text = "\n".join(f"{p.m},{p.b}" for p in line_points(mod, line)) + "\n"
     elif args.kind == "point":
         if args.alpha is None:
             raise ValueError("show point needs --alpha m,b")
-        point = _parse_point_label(mod, args.alpha)
+        point = Point(*_parse_pair(args.alpha, "--alpha"))
         text = "\n".join(f"{ln.m_minus1},{ln.m0}" for ln in lines_through_point(mod, point)) + "\n"
     elif args.kind == "operator":
         if (args.j is None) == (args.alpha is None):
             raise ValueError("show operator needs exactly one of --j or --alpha")
         _refuse_beyond_memory(f"show operator at d={mod.d}", _peak_bytes(mod.d, "show", "operator"))
         if args.j is not None:
-            matrix = line_operator_direct(mod, _parse_line_label(mod, args.j))
+            matrix = line_operator_direct(mod, Line(*_parse_pair(args.j, "--j")))
         else:
-            matrix = point_operator_direct(mod, _parse_point_label(mod, args.alpha))
+            matrix = point_operator_direct(mod, Point(*_parse_pair(args.alpha, "--alpha")))
         text = matrix_to_json(matrix)
     else:  # state
         if args.alpha is None:
             raise ValueError("show state needs --alpha m,b")
-        point = _parse_point_label(mod, args.alpha)
+        point = Point(*_parse_pair(args.alpha, "--alpha"))
+        check_point(mod, point)  # in the words of a point label, not of a state
         text = matrix_to_json(mub_state(mod, point.b, point.m).reshape(mod.d, 1))
     _write_output(text, args.output)
     return EXIT_OK

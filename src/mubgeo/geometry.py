@@ -136,11 +136,6 @@ def _pencil(mod: Modulus, m, b) -> Line:
     return Line(np.where(ref, m, t), np.where(ref, t, (m - mod.half(b) * (2 * t - 1)) % mod.d))
 
 
-def _parallel_class(mod: Modulus, b) -> Point:
-    """The points of columns b, over label arrays: fields of shape (..., d)."""
-    return Point(*np.broadcast_arrays(np.arange(mod.d), np.expand_dims(b, -1)))
-
-
 def _apg_line_labels(mod: Modulus) -> np.ndarray:
     """(r, s) of every affine line, sloped ones in order then verticals; r = d codes xi = s."""
     return np.indices((mod.d + 1, mod.d)).reshape(2, -1)
@@ -336,17 +331,17 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     Covers: counts (d^2 distinct lines, d(d+1) points); any two lines meet in
     exactly one point; any two points of different columns lie on exactly one
     common line; every point lies on d lines and every line holds d+1 points,
-    one per column; columns partition the points and are totally disconnected;
-    the cross-column connectivity that makes the geometry a single block.
-    When each line holds one point per column and the lines form a net, the
-    pair checks hold; else the rows of N^T N and N N^T are scanned in order.
+    one per column; no line joins two points of one column; the cross-column
+    connectivity that makes the geometry a single block. The columns are fixed
+    by the labels, so only the lines can break these. When each line holds one
+    point per column and the lines form a net, the pair checks hold; else the
+    rows of N^T N and N N^T are scanned in order.
     """
     d = mod.d
     size = d * (d + 1)
     at = _line_point_index(mod)  # [line, b + 1]
     column, row = np.divmod(np.arange(size), d)  # point i is (row, column - 1)
     pencils = line_index(mod, _pencil(mod, row, column - 1))
-    members = point_index(mod, _parallel_class(mod, np.arange(CB_COLUMN, d)))
     lines = np.arange(d * d)[:, None]
 
     def point(i) -> str:
@@ -383,7 +378,6 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
             _pairs(point, "points {i} and {j} of column {c} share {n} lines", 0, cls=col),
             _pairs(point, "points {i} and {j} are disconnected", 1, size, cls=col, within=False),
         )
-    ok_part = (np.bincount(members.ravel(), minlength=size) == 1).all()
 
     return AxiomReport.from_findings(
         d,
@@ -392,8 +386,7 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
             "dapg.lines_meet_once": meet,
             "dapg.points_join_once": join,
             "dapg.degrees": bad_degree,
-            "dapg.columns_partition": same
-            or ("" if ok_part else "columns do not partition the point set"),
+            "dapg.columns_partition": same,
             "dapg.cross_column_connected": apart,
         },
     )
@@ -406,29 +399,24 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
     a unique line joins any two distinct points; the parallel postulate;
     d+1 parallel classes of d mutually disjoint lines; lines of different
     classes meet in exactly one point; a non-collinear triple exists.
-    When each class partitions the points and the points, as their line in
-    each class, form a net, all but the triple hold; else the counts are
-    taken and the rows of M^T M and M M^T are scanned in order.
+    The d+1 classes are the d+1 slopes of _apg_line_labels, d lines each in
+    label order, so only the lines can break these. When each class covers
+    the points once and the points, as their line in each class, form a net,
+    all but the triple hold; else the counts are taken and the rows of M^T M
+    and M M^T are scanned in order.
     """
     d = mod.d
     labels = _apg_line_labels(mod)
     slope = labels[0]  # d for the verticals
     table = line_index(mod, Line(*_apg_line_points(mod, *labels)))  # [line, t]: xi*d + eta
     count = len(table)
-    sizes = np.bincount(slope)
-    sizes = sizes[sizes > 0]
-    ok_sizes = len(sizes) == d + 1 and (sizes == d).all()
-    net = False
-    if ok_sizes:  # the d lines of each class must hold each point once
-        points = table[np.argsort(slope, kind="stable").reshape(d + 1, d)]  # [class, line, t]
-        if (np.bincount((np.arange(d + 1)[:, None, None] * d * d + points).ravel()) == 1).all():
-            line_of = np.empty((d + 1, d * d), dtype=int)
-            line_of[np.arange(d + 1)[:, None, None], points] = np.arange(d)[:, None]
-            net = _is_net(line_of.T)
+    line_of = np.full((d + 1, d * d), -1)  # [class, point]: its line in the class, -1 if none
+    line_of[np.arange(d + 1)[:, None, None], table.reshape(d + 1, d, d)] = np.arange(d)[:, None]
+    net = (line_of >= 0).all() and _is_net(line_of.T)  # d^2 entries: each point once
     ok_counts, join, postulate, classes, cross = True, "", "", "", ""
     if not net:
         ordered = np.sort(table, axis=1)
-        ok_counts = count == d * (d + 1) and (np.diff(ordered, axis=1) != 0).all()
+        ok_counts = (np.diff(ordered, axis=1) != 0).all()
         ok_counts = ok_counts and len(np.unique(ordered, axis=0)) == count
         lines = np.arange(count)[:, None]
         by_line = _grouped(lines, table, count, d * d)
@@ -461,8 +449,6 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
         )
         text = "points {i} and {j} lie on {n} lines"
         (join,) = first_witnesses(*_gram_rows(by_point, by_line, d * d, d), _pairs(point, text, 1))
-    if not ok_sizes:
-        classes = f"{len(sizes)} classes with sizes {sorted(sizes.tolist())}"
     collinear = np.logical_and.reduce([(table == a).any(axis=1) for a in (0, d, 1)]).any()
 
     return AxiomReport.from_findings(

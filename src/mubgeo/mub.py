@@ -40,14 +40,22 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
 
 
 def _states(mod: Modulus, m, b) -> np.ndarray:
-    """mub_state over label arrays (m, b): one amplitude vector per label, on the last axis."""
+    """mub_state over label arrays (m, b): one amplitude vector per label, on the last axis.
+
+    The exponents are built in place in one int64 table, and one gather reads them off the
+    roots over sqrt(d), followed by 1 and 0 at d and d+1 for the reference basis.
+    """
     d = mod.d
     n = np.arange(d)
     m, b = np.expand_dims(m, -1), np.expand_dims(b, -1)
     scale = 1.0 / math.sqrt(d)
-    table = np.array([w * scale for w in roots_of_unity(d)])
-    chirp = table[(mod.half(b) * (n * (n - 1) % d) - n * m) % d]
-    return np.where(b == CB_COLUMN, n == m, chirp)
+    table = np.array([w * scale for w in roots_of_unity(d)] + [1.0, 0.0])
+    exponents = np.empty(np.broadcast_shapes(m.shape, b.shape, n.shape), dtype=np.int64)
+    np.multiply(-n, m, out=exponents)
+    exponents += mod.half(b) * (n * (n - 1) % d)
+    exponents %= d
+    np.copyto(exponents, d + (n != m), where=b == CB_COLUMN)
+    return table[exponents]
 
 
 def _point_states(mod: Modulus) -> np.ndarray:
@@ -82,7 +90,7 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     Basis -1 is checked against Z alone, whose eigenbasis it is. X Z^b is monomial:
     (X Z^b v)[n] = omega^(b(n-1)) v[n-1], a gather and a phase, one basis of _states at a time.
     """
-    d, eps = mod.d, check_eps(eps)
+    d, eps = mod.d, check_eps(eps, mod.d)
     roots = np.array(roots_of_unity(d))
     n = np.arange(d)
 
@@ -107,7 +115,7 @@ def verify_eigenrelation(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
 
 def verify_unbiasedness(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomReport:
     """Check each basis is orthonormal and cross-basis overlaps all have magnitude 1/sqrt(d)."""
-    d, eps = mod.d, check_eps(eps)
+    d, eps = mod.d, check_eps(eps, mod.d)
     on, cross = _overlaps(_point_states(mod), d)
     return AxiomReport.from_findings(
         d,

@@ -136,7 +136,9 @@ def test_every_function_that_takes_eps_refuses_a_bad_one(function, eps):
 
 
 def test_the_operator_battery_refuses_eps_at_its_ceiling():
-    # held to d*eps, the 1/d gap of the point Gram cases could not fail at 1/(2 d^2) = 0.02
-    with pytest.raises(ValueError, match=re.escape("is not below 1/(2 d^2) = 0.02")):
-        verify_operator_identities(MOD5, 0.02)
-    assert verify_operator_identities(MOD5, 0.0199).passed
+    # held to d*eps, the 1/d gap of the point Gram cases could not fail at 1/(2 d^2) = 0.02; the
+    # basis checks took any finite eps, and at 0.9 a basis copied onto another passed mub.unbiased
+    for function in ("verify_operator_identities", "verify_eigenrelation", "verify_unbiasedness"):
+        with pytest.raises(ValueError, match=re.escape("is not below 1/(2 d^2) = 0.02")):
+            TAKES_EPS[function](0.02)
+        assert TAKES_EPS[function](0.0199).passed, function

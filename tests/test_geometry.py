@@ -4,16 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from faults import inject, replace_with
+import oracle
 from oracle import (
     all_lines,
     all_points,
     apg_lines,
     apg_points,
     gram_apg_axioms,
-    gram_dapg_axioms,
     gram_duality,
 )
-from test_mutants import DIMS, VERIFIERS, mutants
+from test_mutants import CATALOGUE, DIMS, VERIFIERS, mutants, outcome, restricted
 
 from mubgeo import geometry
 from mubgeo.core import Modulus
@@ -21,7 +21,6 @@ from mubgeo.mub import mub_state
 from mubgeo.operators import line_operator_direct, point_operator_direct
 from mubgeo.phasespace import QuasiDistribution
 from mubgeo.geometry import (
-    CB_COLUMN,
     ApgPoint,
     Line,
     Point,
@@ -113,21 +112,6 @@ class TestLinesThroughPoint:
             pencil = lines_through_point(mod, p)
             assert len(set(pencil)) == d
             assert all(p in line_points(mod, line) for line in pencil)
-
-
-class TestParallelClasses:
-    # the rule that verify_dapg_axioms reads for the points of each column
-    def test_reference_class(self):
-        column = geometry._unstack(geometry._parallel_class(Modulus(3), -1))
-        assert column == (Point(0, -1), Point(1, -1), Point(2, -1))
-
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_partition(self, d):
-        mod = Modulus(d)
-        columns = [geometry._parallel_class(mod, b) for b in range(CB_COLUMN, d)]
-        seen = [p for column in columns for p in geometry._unstack(column)]
-        assert len(seen) == len(set(seen)) == d * (d + 1)
-        assert set(seen) == set(all_points(mod))
 
 
 class TestAffinePlane:
@@ -233,7 +217,6 @@ MOD5 = Modulus(5)
 ENTRY = {
     "_line_points": Point,
     "_pencil": Line,
-    "_parallel_class": Point,
     "_apg_line_points": ApgPoint,
     "_common_point": Point,
 }
@@ -312,13 +295,6 @@ def test_apg_line_points_fault_is_located(monkeypatch):
     assert verify_dapg_axioms(MOD5).passed
 
 
-def test_parallel_class_fault_is_located(monkeypatch):
-    _corrupt(monkeypatch, "_parallel_class", 0, 0, _next_row)
-    assert _failures(verify_dapg_axioms(MOD5)) == [
-        ("dapg.columns_partition", "columns do not partition the point set")
-    ]
-
-
 @pytest.mark.parametrize(
     "rule, target, index, fix",
     [
@@ -385,21 +361,6 @@ def test_column_profile_fault_is_located(monkeypatch):
     ]
 
 
-def test_class_size_fault_is_located(monkeypatch):
-    # apg_lines lists SlopedLine(1, 0) twice and SlopedLine(0, 0) not at all
-
-    def first_is_1_0(answer):
-        answer[0][:, 0] = (1, 0)
-
-    inject(monkeypatch, geometry, "_apg_line_labels", (), first_is_1_0)
-    assert _failures(verify_apg_axioms(MOD5)) == [
-        ("apg.counts", "wrong point/line counts"),
-        ("apg.unique_join", "points (0,0) and (1,0) lie on 0 lines"),
-        ("apg.parallel_postulate", "0 parallels to SlopedLine(r=0, s=1) through (0,0)"),
-        ("apg.parallel_classes", "6 classes with sizes [4, 5, 5, 5, 5, 6]"),
-    ]
-
-
 def test_collinear_triple_is_found(monkeypatch):
     # the line eta = 0 holds (0,1) in place of (2,0), so it covers (0,0), (1,0) and (0,1)
     _corrupt(monkeypatch, "_apg_line_points", SlopedLine(0, 0), 2, lambda _: ApgPoint(0, 1))
@@ -441,11 +402,10 @@ def test_class_to_column_fault_is_located(monkeypatch):
     [
         ("_line_points", [Line(1, 2), Line(3, 3)], 1, Point(5, 0), "point label (5,0)"),
         ("_pencil", [Point(0, 2), Point(4, 3)], 1, Line(0, -1), "line label (0,-1)"),
-        ("_parallel_class", [0, 3], 2, Point(2, 5), "point label (2,5)"),
         ("_apg_line_points", [SlopedLine(1, 1), VerticalLine(2)], 1, ApgPoint(1, 5), "line label (1,5)"),
         ("_common_point", [SlopedLine(2, 0), VerticalLine(4)], (), Point(7, 0), "point label (7,0)"),
     ],
-    ids=["line_points", "pencil", "parallel_class", "apg_line_points", "common_point"],
+    ids=["line_points", "pencil", "apg_line_points", "common_point"],
 )
 def test_out_of_range_answer_raises_the_label_error(monkeypatch, rule, targets, index, bad, message):
     # two labels answer out of range; the error names the first, as check_point/check_line word it
@@ -516,34 +476,28 @@ def test_geometry_checks_hold_no_gram(verify):
     assert peak < 4 * 2**20
 
 
-GRAMS = {
-    "verify_dapg_axioms": gram_dapg_axioms,
-    "verify_apg_axioms": gram_apg_axioms,
-    "verify_duality": gram_duality,
-}
-
-
-def _outcome(verify, mod):
-    try:
-        return verify(mod)
-    except ValueError as exc:
-        return str(exc)
+# the Gram verifier of tests/oracle.py that stands for each geometry verifier, and the rules it reads
+GRAMS = tuple(
+    (oracle, name.replace("verify", "gram"), reads)
+    for module, name, reads in VERIFIERS
+    if module is geometry
+)
 
 
 @pytest.mark.parametrize("d", DIMS)
 def test_gram_oracle_agrees_on_every_mutant(d):
-    # the counting checks reproduce the catalogue, so the Gram checks of tests/oracle.py must too
+    # the counting checks reproduce the catalogue (test_battery_reproduces_the_catalogue), and
+    # the Gram checks must reproduce it too
+    catalogue = json.loads(CATALOGUE.read_text())
     wrong = []
     for name, rule, label, fix in mutants(d):
-        for module, verifier, reads in VERIFIERS:
-            if module is not geometry or rule not in reads:
-                continue
-            with pytest.MonkeyPatch.context() as mp:
-                inject(mp, geometry, rule, label, fix)
-                got = _outcome(getattr(geometry, verifier), Modulus(d))
-                want = _outcome(GRAMS[verifier], Modulus(d))
-            if got != want:
-                wrong.append((name, verifier))
+        grams = [v for v in GRAMS if rule in v[2]]
+        if not grams:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            got = outcome(mp, d, rule, label, fix, grams)
+        if got != restricted(catalogue[name], grams):
+            wrong.append(name)
     assert wrong == []
 
 

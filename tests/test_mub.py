@@ -121,6 +121,20 @@ def test_the_checks_hold_no_memory_once_they_return():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("b", [3, -1])
+def test_one_basis_peaks_at_most_36_d_squared_bytes(b):
+    # the basis itself is 16 d^2 bytes; the rule peaked at ~51 d^2 with its integer temporaries
+    # and the reference basis cast to complex and merged by np.where
+    d = 47
+    tracemalloc.start()
+    try:
+        mub._states(Modulus(d), np.arange(d), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * d * d
+
+
 def test_family_arrays_are_frozen():
     fam = mub_family(Modulus(3))
     with pytest.raises(ValueError):
@@ -180,3 +194,17 @@ def test_a_nan_amplitude_fails_every_mub_check(monkeypatch, d):
         ["mub.orthonormal", "basis b=1 deviates from orthonormality by nan"],
         ["mub.unbiased", "bases b=-1, b=1 overlap off 1/sqrt(d) by nan"],
     ]
+
+
+def test_a_copied_basis_fails_unbiasedness_at_every_allowed_eps(monkeypatch):
+    # basis 2 answers with the states of basis 1, whose overlaps are 1 and 0, not 1/sqrt(5): an
+    # eps of 0.9 passed that; from 1/(2 d^2) = 0.02 on eps is refused, and below it the copy fails
+    original = mub._states
+    monkeypatch.setattr(
+        mub, "_states", lambda mod, m, b: original(mod, m, np.where(np.asarray(b) == 2, 1, b))
+    )
+    mod = Modulus(5)
+    with pytest.raises(ValueError, match="is not below 1/"):
+        verify_unbiasedness(mod, 0.9)
+    report = verify_unbiasedness(mod, 0.0199)
+    assert [c.axiom for c in report.checks if not c.ok] == ["mub.unbiased"]

@@ -3,8 +3,7 @@
 A mutant corrupts the answer of one array rule for one label, through
 faults.inject, at d = 5 and 7. The rules are the ones the verifiers read:
 geometry._line_points (the points of each line), geometry._pencil (the lines
-through each point), geometry._parallel_class (the points of each column),
-geometry._apg_line_points (the points of each affine line),
+through each point), geometry._apg_line_points (the points of each affine line),
 geometry._common_point (the closed form of the duality), mub._states (the
 chirp rule behind every basis state), operators._point_operators and
 operators._line_operators (the direct routes). The fault families are
@@ -13,16 +12,17 @@ enumerated whole, for every label:
 - another label's answer: the answer of the label with one field advanced by
   one, cyclically (each field in turn);
 - shifted by 1: one row of a line's points moved to the next row mod d; the
-  m0 of one line of a pencil, the row of one point of a column, the eta of one
-  point of an affine line, or the row of a common point, advanced by one mod d;
+  m0 of one line of a pencil, the eta of one point of an affine line, or the
+  row of a common point, advanced by one mod d;
   a state's amplitudes moved to the next index; an operator's rows moved down;
 - one amplitude scaled by 1 + 1e-6, and one amplitude times omega: each
   amplitude of a state; each row of an operator, which for a line operator is
   its one nonzero entry in that row;
 - conjugated: the whole answer of a state or an operator.
 
-One more mutant at each d is written out by hand (EXTRA): no fault of these
-families puts three non-collinear affine points on one line.
+Two more mutants at each d are written out by hand (EXTRA): no fault of these
+families puts three non-collinear affine points on one line, or two points of
+one column on one dual line.
 
 mutants.json maps each mutant to the failing checks of verify --scope all, in
 report order, each with its witness text: the first offending label (or pair
@@ -47,20 +47,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 from faults import inject, replace_with
-from oracle import dense_operator_battery
+from oracle import dense_operator_battery, gram_dapg_axioms
 
 from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
+from mubgeo.geometry import Point
 
 CATALOGUE = Path(__file__).with_name("mutants.json")
 DIMS = (5, 7)
 
-# rule -> module that holds it, and its labels: points (m, b), lines (m_minus1, m0),
-# columns (b,) or affine lines (r, s) with r = d for the verticals
+# rule -> module that holds it, and its labels: points (m, b), lines (m_minus1, m0)
+# or affine lines (r, s) with r = d for the verticals
 RULES = {
     "_line_points": (geometry, "line"),
     "_pencil": (geometry, "point"),
-    "_parallel_class": (geometry, "column"),
     "_apg_line_points": (geometry, "affine"),
     "_common_point": (geometry, "affine"),
     "_states": (mub, "point"),
@@ -72,13 +72,12 @@ RULES = {
 SHIFTED = {
     "_line_points": (0, "row"),
     "_pencil": (1, "line"),
-    "_parallel_class": (0, "point"),
     "_apg_line_points": (1, "point"),
 }
 
 # the verifiers of verify --scope all, in report order, and the rules each reads
 VERIFIERS = (
-    (geometry, "verify_dapg_axioms", ("_line_points", "_pencil", "_parallel_class")),
+    (geometry, "verify_dapg_axioms", ("_line_points", "_pencil")),
     (geometry, "verify_apg_axioms", ("_apg_line_points",)),
     (geometry, "verify_duality", ("_line_points", "_apg_line_points", "_common_point")),
     (mub, "verify_eigenrelation", ("_states",)),
@@ -103,8 +102,6 @@ UNFAILABLE = {
 def labels(d: int, kind: str) -> list[tuple[int, ...]]:
     if kind == "point":
         return [(m, b) for b in range(-1, d) for m in range(d)]
-    if kind == "column":
-        return [(b,) for b in range(-1, d)]
     if kind == "affine":
         return [(r, s) for r in range(d + 1) for s in range(d)]
     return [(a, m0) for a in range(d) for m0 in range(d)]
@@ -112,8 +109,6 @@ def labels(d: int, kind: str) -> list[tuple[int, ...]]:
 
 def _neighbours(d: int, kind: str, label: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The labels with one field advanced by one, cyclically over its range."""
-    if kind == "column":
-        return [((label[0] + 2) % (d + 1) - 1,)]
     x, y = label
     if kind == "point":
         return [((x + 1) % d, y), (x, (y + 2) % (d + 1) - 1)]
@@ -153,8 +148,16 @@ def _collinear(answer):
     answer[0][2], answer[1][2] = 0, 1
 
 
+def _same_column(answer):
+    """The line's point in column 1 becomes (1,0): it then holds (0,0) and (1,0) of column 0."""
+    answer[0][2], answer[1][2] = 1, 0
+
+
 # (rule, label, what, fix) of the mutants written out by hand, at each d
-EXTRA = (("_apg_line_points", (0, 0), "point 2 is 0,1", _collinear),)
+EXTRA = (
+    ("_apg_line_points", (0, 0), "point 2 is 0,1", _collinear),
+    ("_line_points", (0, 0), "column 1 is point 1,0", _same_column),
+)
 
 
 # (rule, label, fix) of a nan amplitude, at n = 3 of state (m=2, b=1): the only fault that fails
@@ -347,30 +350,63 @@ def test_whole_basis_family_holds_a_passing_and_a_failing_mutant():
     assert verdicts == {True, False}
 
 
-def changes(old: dict, new: dict) -> tuple[int, int, int, int, int]:
-    """How many mutants are new, change their failing checks, change a witness, and how many texts
-    and op.* entries change.
+def _collided(monkeypatch, column: int) -> None:
+    """Patch geometry._line_points: column keeps its intercept -half(column) on every line but
+    takes the slope column + 1 mod d of the next column, row(column) = (column + 1) m_minus1 -
+    half(column) + m0."""
+    original = geometry._line_points
+
+    def collided(mod, m_minus1, m0):
+        m, b = original(mod, m_minus1, m0)
+        a, m0 = np.expand_dims(m_minus1, -1), np.expand_dims(m0, -1)
+        row = ((column + 1) * a - mod.half(column) + m0) % mod.d
+        return Point(np.where(b == column, row, m), b)
+
+    monkeypatch.setattr(geometry, "_line_points", collided)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_a_column_with_another_columns_slope_matches_the_oracles(d):
+    # ROADMAP item 2's coefficient collisions: two columns of one slope make lines that meet in
+    # both, so the net test must fail and the exact scans and passes decide, as the oracles do
+    mod = Modulus(d)
+    for column in range(d):
+        with pytest.MonkeyPatch.context() as mp:
+            _collided(mp, column)
+            report = geometry.verify_dapg_axioms(mod)
+            assert report == gram_dapg_axioms(mod), column
+            assert "dapg.lines_meet_once" in [c.axiom for c in report.checks if not c.ok]
+            assert operators.verify_operator_identities(mod) == dense_operator_battery(mod)[0]
+
+
+def changes(old: dict, new: dict) -> tuple[int, int, int, int, int, int]:
+    """How many mutants are new, are gone, change their failing checks, change a witness, and how
+    many texts and op.* entries change.
 
     A witness counts only for a check that fails in both catalogues; an op.* entry is a mutant's
     list of failing op.* checks with their witnesses.
     """
-    added = verdicts = witnesses = texts = ops = 0
+    added = removed = verdicts = witnesses = texts = ops = 0
     for name in old.keys() | new.keys():
         added += name not in old
-        before, after = dict(old.get(name, [])), dict(new.get(name, []))
+        removed += name not in new
+        if name not in old or name not in new:
+            continue
+        before, after = dict(old[name]), dict(new[name])
         moved = sum(before[check] != after[check] for check in before.keys() & after.keys())
-        verdicts += name in old and list(before) != list(after)
+        verdicts += list(before) != list(after)
         witnesses += moved > 0
         texts += moved
-        op_before = [(c, w) for c, w in old.get(name, []) if c.startswith("op.")]
-        ops += name in old and op_before != [(c, w) for c, w in new[name] if c.startswith("op.")]
-    return added, verdicts, witnesses, texts, ops
+        op_before = [(c, w) for c, w in old[name] if c.startswith("op.")]
+        ops += op_before != [(c, w) for c, w in new[name] if c.startswith("op.")]
+    return added, removed, verdicts, witnesses, texts, ops
 
 
 if __name__ == "__main__":
     found = record()
-    added, verdicts, witnesses, texts, ops = changes(json.loads(CATALOGUE.read_text()), found)
-    print(f"{added} of {len(found)} mutants are new;")
+    old = json.loads(CATALOGUE.read_text())
+    added, removed, verdicts, witnesses, texts, ops = changes(old, found)
+    print(f"{added} of {len(found)} mutants are new; {removed} of {len(old)} are gone;")
     print(f"{verdicts} of the others change their failing checks;")
     print(f"{witnesses} change the witness of a check failed before and after ({texts} texts);")
     print(f"{ops} change their op.* entry")
