@@ -21,10 +21,8 @@ from .geometry import (
     Point,
     SlopedLine,
     VerticalLine,
-    apg_incidence_matrix,
     apg_line_points,
     duality_common_point,
-    incidence_matrix,
     line_index,
     line_points,
     lines_through_point,
@@ -34,12 +32,9 @@ from .geometry import (
     verify_duality,
 )
 from .mub import (
-    mub_family,
     mub_state,
     verify_eigenrelation,
     verify_unbiasedness,
-    x_matrix,
-    z_matrix,
 )
 from .operators import (
     line_operator_direct,

@@ -170,7 +170,7 @@ def cmd_show(args) -> int:
         if args.alpha is None:
             raise ValueError("show state needs --alpha m,b")
         point = Point(*_parse_pair(args.alpha, "--alpha"))
-        check_point(mod, point)  # in the words of a point label, not of a state
+        point = check_point(mod, point)  # in the words of a point label, not of a state
         text = matrix_to_json(mub_state(mod, point.b, point.m).reshape(mod.d, 1))
     _write_output(text, args.output)
     return EXIT_OK

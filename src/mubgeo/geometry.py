@@ -75,18 +75,29 @@ def _integral(*fields) -> bool:
     return all(np.asarray(f).dtype.kind in "iu" for f in fields)
 
 
-def check_point(mod: Modulus, point: Point) -> None:
-    """Raise ValueError unless every point is valid; the fields may be integer arrays."""
+def _int64(*fields) -> tuple:
+    """The fields of a valid label, numpy ones as int64 and a Python int as it is.
+
+    numpy computes in a field's own dtype, where -r, b + 1 and half(b) * (...) wrap. The cast
+    wraps a uint64 past int64, so it follows the range test; an int64 field passes uncopied.
+    """
+    return tuple(f if isinstance(f, int) else np.asarray(f, dtype=np.int64) for f in fields)
+
+
+def check_point(mod: Modulus, point: Point) -> Point:
+    """The point with int64 fields; ValueError unless every point is valid. Fields may be arrays."""
     ok = (0 <= point.m) & (point.m < mod.d) & (CB_COLUMN <= point.b) & (point.b < mod.d)
     if not (_integral(*point) and np.all(ok)):
         raise ValueError(f"invalid point label {format_point(_first(point, ok))} for d={mod.d}")
+    return Point(*_int64(*point))
 
 
-def check_line(mod: Modulus, line: Line) -> None:
-    """Raise ValueError unless every line is valid; the fields may be integer arrays."""
+def check_line(mod: Modulus, line: Line) -> Line:
+    """The line with int64 fields; ValueError unless every line is valid. Fields may be arrays."""
     ok = (0 <= line.m_minus1) & (line.m_minus1 < mod.d) & (0 <= line.m0) & (line.m0 < mod.d)
     if not (_integral(*line) and np.all(ok)):
         raise ValueError(f"invalid line label {format_line(_first(line, ok))} for d={mod.d}")
+    return Line(*_int64(*line))
 
 
 def format_point(point: Point) -> str:
@@ -104,8 +115,7 @@ def _unstack(labels) -> tuple:
 
 def line_points(mod: Modulus, line: Line) -> tuple[Point, ...]:
     """The d+1 points of a line, one per column, in column order -1, 0, .., d-1."""
-    check_line(mod, line)
-    return _unstack(_line_points(mod, *line))
+    return _unstack(_line_points(mod, *check_line(mod, line)))
 
 
 def _line_points(mod: Modulus, m_minus1, m0) -> Point:
@@ -121,8 +131,7 @@ def _line_points(mod: Modulus, m_minus1, m0) -> Point:
 
 def lines_through_point(mod: Modulus, point: Point) -> tuple[Line, ...]:
     """The d lines through a point, in ascending m_minus1 (m0 for the reference column)."""
-    check_point(mod, point)
-    return _unstack(_pencil(mod, *point))
+    return _unstack(_pencil(mod, *check_point(mod, point)))
 
 
 def _pencil(mod: Modulus, m, b) -> Line:
@@ -145,18 +154,18 @@ def _apg_line(mod: Modulus, r, s) -> ApgLine:
     return VerticalLine(int(s)) if r == mod.d else SlopedLine(int(r), int(s))
 
 
-def _slope_intercept(mod: Modulus, apg_line: ApgLine) -> tuple[int, int]:
-    """The fields (r, s) that the array rules take for a valid affine line; r = d for xi = s."""
+def _slope_intercept(mod: Modulus, apg_line: ApgLine) -> tuple:
+    """The int64 (r, s) that the array rules take for a valid affine line; r = d for xi = s."""
     if isinstance(apg_line, VerticalLine):
         if not (_integral(apg_line.xi) and 0 <= apg_line.xi < mod.d):
             raise ValueError(f"invalid vertical line xi={apg_line.xi} for d={mod.d}")
-        return mod.d, apg_line.xi
+        return _int64(mod.d, apg_line.xi)
     if not isinstance(apg_line, SlopedLine):
         raise TypeError(f"not an affine line: {apg_line!r}")
     r, s = apg_line.r, apg_line.s
     if not (_integral(r, s) and 0 <= r < mod.d and 0 <= s < mod.d):
         raise ValueError(f"invalid sloped line (r={r}, s={s}) for d={mod.d}")
-    return r, s
+    return _int64(r, s)
 
 
 def apg_line_points(mod: Modulus, apg_line: ApgLine) -> tuple[ApgPoint, ...]:
@@ -192,44 +201,19 @@ def _common_point(mod: Modulus, r, s) -> Point:
 
 def point_index(mod: Modulus, point: Point):
     """Position of a point, column-major with the reference column first; fields may be arrays."""
-    check_point(mod, point)
+    point = check_point(mod, point)
     return (point.b + 1) * mod.d + point.m
 
 
 def line_index(mod: Modulus, line: Line):
     """Position of a line in the lexicographic (m_minus1, m0) enumeration; fields may be arrays."""
-    check_line(mod, line)
+    line = check_line(mod, line)
     return line.m_minus1 * mod.d + line.m0
 
 
 def _line_point_index(mod: Modulus) -> np.ndarray:
     """point_index of the points of every line, one _line_points call: [line_index, b + 1]."""
     return point_index(mod, _line_points(mod, *np.divmod(np.arange(mod.d * mod.d), mod.d)))
-
-
-def incidence_matrix(mod: Modulus) -> np.ndarray:
-    """The dual plane's incidence matrix N, read off the points of every line at once.
-
-    N[point_index, line_index] is 1 where the point lies on the line, else 0:
-    d(d+1) rows, d^2 columns, float64 so that products count exactly.
-    """
-    rows = _line_point_index(mod)
-    n = np.zeros((mod.d * (mod.d + 1), len(rows)))
-    n[rows, np.arange(len(rows))[:, None]] = 1.0
-    return n
-
-
-def apg_incidence_matrix(mod: Modulus) -> np.ndarray:
-    """The affine plane's incidence matrix M, read off the points of every affine line at once.
-
-    M[a, k] is 1 where affine point a lies on the k-th line of _apg_line_labels:
-    d^2 rows, d(d+1) columns, float64. Row a = xi*d + eta is also the
-    line_index of the dual-plane line that the point labels.
-    """
-    rows = line_index(mod, Line(*_apg_line_points(mod, *_apg_line_labels(mod))))
-    m = np.zeros((mod.d * mod.d, len(rows)))
-    m[rows, np.arange(len(rows))[:, None]] = 1.0
-    return m
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

@@ -12,18 +12,8 @@ import math
 import numpy as np
 
 from .core import DEFAULT_EPS, Modulus, check_eps, roots_of_unity
-from .geometry import CB_COLUMN, _integral
+from .geometry import CB_COLUMN, _int64, _integral
 from .report import AxiomReport, offending
-
-
-def z_matrix(mod: Modulus) -> np.ndarray:
-    """Clock matrix: diagonal of omega^n."""
-    return np.diag(roots_of_unity(mod.d))
-
-
-def x_matrix(mod: Modulus) -> np.ndarray:
-    """Cyclic shift sending position n to n+1 mod d."""
-    return np.roll(np.eye(mod.d, dtype=complex), 1, axis=0)
 
 
 def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
@@ -36,7 +26,7 @@ def mub_state(mod: Modulus, b: int, m: int) -> np.ndarray:
     d = mod.d
     if not (_integral(b, m) and CB_COLUMN <= b < d and 0 <= m < d):
         raise ValueError(f"invalid state label (m={m}, b={b}) for d={d}")
-    return _states(mod, m, b)
+    return _states(mod, *_int64(m, b))
 
 
 def _states(mod: Modulus, m, b) -> np.ndarray:
@@ -61,13 +51,6 @@ def _states(mod: Modulus, m, b) -> np.ndarray:
 def _point_states(mod: Modulus) -> np.ndarray:
     """Every state by point_index as [point, n], from one call of _states, built on each call."""
     return _states(mod, np.arange(mod.d), np.arange(CB_COLUMN, mod.d)[:, None]).reshape(-1, mod.d)
-
-
-def mub_family(mod: Modulus) -> np.ndarray:
-    """All d+1 bases as one read-only array [b+1, n, m]: state m of basis b is [b+1][:, m]."""
-    family = np.swapaxes(_point_states(mod).reshape(mod.d + 1, mod.d, mod.d), 1, 2)
-    family.setflags(write=False)
-    return family
 
 
 def _overlaps(states: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

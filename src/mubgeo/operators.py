@@ -34,8 +34,7 @@ def point_operator_direct(mod: Modulus, point: Point) -> np.ndarray:
     For b >= 0 the (n, n') entry is omega^((n - n')(half(b)(n + n' - 1) - m))/d;
     the reference column gives the diagonal unit at (m, m).
     """
-    check_point(mod, point)
-    return _point_operators(mod, *point)
+    return _point_operators(mod, *check_point(mod, point))
 
 
 def _point_operators(mod: Modulus, m, b) -> np.ndarray:
@@ -67,8 +66,7 @@ def line_operator_direct(mod: Modulus, line: Line) -> np.ndarray:
 
     Entry (n, n') is omega^(-(n - n') m0) when n + n' = 2 m_minus1 mod d, else 0.
     """
-    check_line(mod, line)
-    return _line_operators(mod, *line)
+    return _line_operators(mod, *check_line(mod, line))
 
 
 def _line_operators(mod: Modulus, m_minus1, m0) -> np.ndarray:

@@ -78,8 +78,7 @@ class _LabelTable:
         object.__setattr__(self, "values", arr)
 
     def value(self, label) -> float:
-        self.check(self.mod, label)
-        return float(self.values[self.cell(*label)])
+        return float(self.values[self.cell(*self.check(self.mod, label))])
 
 
 class QuasiDistribution(_LabelTable):

@@ -6,10 +6,11 @@ the phase-space functions without building any operator. The tests hold these ag
 references: a point projector as the outer product of one state, a line
 operator as the sum of its d+1 incident projectors minus the identity, and
 every point and line operator stacked in point_index and line_index order.
-It also builds the two Clifford gates that permute the line operators, and
-evaluates the phase-space kernels with every index and phase table built anew
-on each call, which the package's cached tables must match bit for bit, and
-keeps the Fourier-slice route of the basis probabilities as a second route.
+It also builds the two Clifford gates that permute the line operators, the
+clock and shift matrices, and the bases as one array. It evaluates the
+phase-space kernels with every index and phase table built anew on each call,
+which the package's cached tables must match bit for bit, and keeps the
+Fourier-slice route of the basis probabilities as a second route.
 
 dense_operator_battery is the exhaustive operator battery: every identity held
 entry by entry on the dense d(d+1) x d x d stacks and the (d(d+1))^2 Grams,
@@ -21,15 +22,16 @@ rounding of these, wherever the two are compared.
 
 gram_dapg_axioms, gram_apg_axioms and gram_duality are the exhaustive geometry
 and duality checks: every check read off a Gram of the 0/1 incidence matrices
-N and M (N^T N, N N^T, M M^T, M^T M and N M), each failing check named by its
-first offending pair, point or line in row-major order. The package's counting
+N and M of incidence_matrix and apg_incidence_matrix (N^T N, N N^T, M M^T,
+M^T M and N M), each failing check named by its first offending pair, point or
+line in row-major order. The package's counting
 verifiers must give the same report. They read the label rules through the
 geometry module, so that a fault injected there reaches them too.
 """
 
 import numpy as np
 
-from mubgeo import geometry, operators
+from mubgeo import geometry, mub, operators
 from mubgeo.core import DEFAULT_EPS, roots_of_unity
 from mubgeo.geometry import (
     CB_COLUMN,
@@ -42,12 +44,11 @@ from mubgeo.geometry import (
     check_point,
     format_line,
     format_point,
-    incidence_matrix,
     line_index,
     line_points,
     point_index,
 )
-from mubgeo.mub import mub_family, mub_state
+from mubgeo.mub import mub_state
 from mubgeo.report import AxiomReport, witness
 
 
@@ -70,6 +71,46 @@ def apg_lines(mod):
     """Every affine line in the order of M's columns: sloped ones lexicographic, then verticals."""
     sloped = [SlopedLine(r, s) for r in range(mod.d) for s in range(mod.d)]
     return sloped + [VerticalLine(xi) for xi in range(mod.d)]
+
+
+def incidence_matrix(mod):
+    """The dual plane's incidence matrix N, read off the points of every line at once.
+
+    N[point_index, line_index] is 1 where the point lies on the line, else 0:
+    d(d+1) rows, d^2 columns, float64 so that products count exactly.
+    """
+    rows = geometry._line_point_index(mod)
+    n = np.zeros((mod.d * (mod.d + 1), len(rows)))
+    n[rows, np.arange(len(rows))[:, None]] = 1.0
+    return n
+
+
+def apg_incidence_matrix(mod):
+    """The affine plane's incidence matrix M, read off the points of every affine line at once.
+
+    M[a, k] is 1 where affine point a lies on the k-th line of _apg_line_labels:
+    d^2 rows, d(d+1) columns, float64. Row a = xi*d + eta is also the
+    line_index of the dual-plane line that the point labels.
+    """
+    rows = line_index(mod, Line(*geometry._apg_line_points(mod, *geometry._apg_line_labels(mod))))
+    m = np.zeros((mod.d * mod.d, len(rows)))
+    m[rows, np.arange(len(rows))[:, None]] = 1.0
+    return m
+
+
+def mub_family(mod):
+    """All d+1 bases as one array [b+1, n, m]: state m of basis b is [b+1][:, m]."""
+    return np.swapaxes(mub._point_states(mod).reshape(mod.d + 1, mod.d, mod.d), 1, 2)
+
+
+def z_matrix(mod):
+    """Clock matrix: diagonal of omega^n."""
+    return np.diag(roots_of_unity(mod.d))
+
+
+def x_matrix(mod):
+    """Cyclic shift sending position n to n+1 mod d."""
+    return np.roll(np.eye(mod.d, dtype=complex), 1, axis=0)
 
 
 def point_operator(mod, point):
@@ -215,7 +256,7 @@ def dense_operator_battery(mod, eps=DEFAULT_EPS):
     d = mod.d
     n = incidence_matrix(mod)
     eye = np.eye(d)
-    states = mub_family(mod).transpose(0, 2, 1).reshape(len(n), d)  # point_index order
+    states = mub._point_states(mod)  # point_index order
     a_stack = states[:, :, None] * states[:, None, :].conj()
     p_stack = _over_lines(n, a_stack) - eye
     tol = d * max(eps, 16 * d * np.finfo(float).eps)
@@ -320,7 +361,7 @@ def gram_dapg_axioms(mod):
     Read off N: N^T N = dI + J; N N^T is 1 across columns, 0 within one.
     """
     d = mod.d
-    n = geometry.incidence_matrix(mod)
+    n = incidence_matrix(mod)
     meet = n.T @ n
     join = n @ n.T
     column, row = np.divmod(np.arange(len(n)), d)  # point i is (row, column - 1)
@@ -391,7 +432,7 @@ def gram_apg_axioms(mod):
     d = mod.d
     labels = geometry._apg_line_labels(mod)
     slope = labels[0]  # d for the verticals
-    m = geometry.apg_incidence_matrix(mod)
+    m = apg_incidence_matrix(mod)
     join = m @ m.T
     meet = m.T @ m
     parallels = m @ (meet == 0)
@@ -443,8 +484,8 @@ def gram_duality(mod):
     """
     d = mod.d
     labels = geometry._apg_line_labels(mod)
-    n = geometry.incidence_matrix(mod)
-    m = geometry.apg_incidence_matrix(mod)
+    n = incidence_matrix(mod)
+    m = apg_incidence_matrix(mod)
     common = geometry._common_point(mod, *labels)
     at = point_index(mod, common)
     pi = np.zeros((len(n), len(at)))

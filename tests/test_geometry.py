@@ -8,10 +8,12 @@ import oracle
 from oracle import (
     all_lines,
     all_points,
+    apg_incidence_matrix,
     apg_lines,
     apg_points,
     gram_apg_axioms,
     gram_duality,
+    incidence_matrix,
 )
 from test_mutants import CATALOGUE, DIMS, VERIFIERS, mutants, outcome, restricted
 
@@ -26,12 +28,10 @@ from mubgeo.geometry import (
     Point,
     SlopedLine,
     VerticalLine,
-    apg_incidence_matrix,
     apg_line_points,
     check_line,
     check_point,
     duality_common_point,
-    incidence_matrix,
     line_points,
     lines_through_point,
     point_index,

@@ -106,3 +106,32 @@ def test_comparisons_with_a_tolerance_are_found():
 def test_checks_decide_through_offending(name):
     # every float check of the verifiers fails a deviation not within its tolerance, nan included
     assert exceeds_tolerance((Path(mubgeo.__file__).parent / name).read_text()) == []
+
+
+# the label checks: each returns the label, with int64 fields, that the views must read
+LABEL_CHECKS = {"check_point", "check_line", "_slope_intercept", "check"}
+
+
+def discarded_checks(source: str) -> list[int]:
+    """Lines of a statement that calls a label check and drops the label it returns.
+
+    A view that reads the caller's label instead computes in the caller's dtype, where it wraps.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if getattr(func, "attr", getattr(func, "id", None)) in LABEL_CHECKS:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_discarded_label_checks_are_found():
+    source = "check_point(mod, p)\np = check_line(mod, q)\nself.check(mod, x)\n"
+    source += "g._slope_intercept(mod, a)\nf(check_point(mod, p))\ncheck_eps(eps)\n"
+    assert discarded_checks(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_label_check_is_read(path):
+    assert discarded_checks(path.read_text()) == []

@@ -3,19 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import mub_family, x_matrix, z_matrix
 from test_mutants import NAN_FAULT, VERIFIERS, outcome
 
 from mubgeo import mub
 
 from mubgeo.core import DEFAULT_EPS, Modulus, omega_power
-from mubgeo.mub import (
-    mub_family,
-    mub_state,
-    verify_eigenrelation,
-    verify_unbiasedness,
-    x_matrix,
-    z_matrix,
-)
+from mubgeo.mub import mub_state, verify_eigenrelation, verify_unbiasedness
 from mubgeo.operators import verify_operator_identities
 
 W = np.exp(2j * np.pi / 3)
@@ -133,12 +127,6 @@ def test_one_basis_peaks_at_most_36_d_squared_bytes(b):
     finally:
         tracemalloc.stop()
     assert peak <= 36 * d * d
-
-
-def test_family_arrays_are_frozen():
-    fam = mub_family(Modulus(3))
-    with pytest.raises(ValueError):
-        fam[1][0, 0] = 0
 
 
 def test_eigenrelation_direct_check():

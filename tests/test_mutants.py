@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from faults import inject, replace_with
-from oracle import dense_operator_battery, gram_dapg_axioms
+from oracle import dense_operator_battery, gram_apg_axioms, gram_dapg_axioms, gram_duality
 
 from mubgeo import geometry, mub, operators
 from mubgeo.core import Modulus, omega_power
@@ -377,6 +377,61 @@ def test_a_column_with_another_columns_slope_matches_the_oracles(d):
             assert report == gram_dapg_axioms(mod), column
             assert "dapg.lines_meet_once" in [c.axiom for c in report.checks if not c.ok]
             assert operators.verify_operator_identities(mod) == dense_operator_battery(mod)[0]
+
+
+def _chirp_collided(monkeypatch, basis: int) -> None:
+    """Patch mub._states: basis takes the chirp of basis + 1 mod d, so it is that basis."""
+    original = mub._states
+
+    def collided(mod, m, b):
+        return original(mod, m, np.where(np.asarray(b) == basis, (basis + 1) % mod.d, b))
+
+    monkeypatch.setattr(mub, "_states", collided)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_a_basis_with_another_basis_chirp_matches_the_dense_battery(d):
+    # ROADMAP item 2's basis chirp collisions: two equal bases are not unbiased
+    mod = Modulus(d)
+    for basis in range(d):
+        with pytest.MonkeyPatch.context() as mp:
+            _chirp_collided(mp, basis)
+            reports = [mub.verify_eigenrelation(mod), mub.verify_unbiasedness(mod)]
+            assert [c.axiom for r in reports for c in r.checks if not c.ok] == [
+                "mub.eigenrelation",
+                "mub.unbiased",
+            ], basis
+            assert operators.verify_operator_identities(mod) == dense_operator_battery(mod)[0]
+
+
+def _class_collided(monkeypatch, slope: int) -> None:
+    """Patch geometry._apg_line_points: class slope (d for the verticals) takes the slope
+    slope + 1 mod d + 1, so its lines are those of the next class."""
+    original = geometry._apg_line_points
+
+    def collided(mod, r, s):
+        return original(mod, np.where(np.asarray(r) == slope, (slope + 1) % (mod.d + 1), r), s)
+
+    monkeypatch.setattr(geometry, "_apg_line_points", collided)
+
+
+@pytest.mark.parametrize("d", DIMS + (11,))
+def test_an_affine_class_with_another_class_slope_matches_the_oracles(d):
+    # ROADMAP item 2's affine class collisions: two equal classes make no net, and the exact
+    # scans decide, as the Gram oracles do
+    mod = Modulus(d)
+    for slope in range(d + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            _class_collided(mp, slope)
+            report = geometry.verify_apg_axioms(mod)
+            assert report == gram_apg_axioms(mod), slope
+            assert [c.axiom for c in report.checks if not c.ok] == [
+                "apg.counts",
+                "apg.unique_join",
+                "apg.parallel_postulate",
+                "apg.cross_class_meet_once",
+            ], slope
+            assert geometry.verify_duality(mod) == gram_duality(mod), slope
 
 
 def changes(old: dict, new: dict) -> tuple[int, int, int, int, int, int]:

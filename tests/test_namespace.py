@@ -20,8 +20,10 @@ DELETED = {
         "apg_points",
         "apg_lines",
         "parallel_class",
+        "incidence_matrix",
+        "apg_incidence_matrix",
     ],
-    mub: ["MubFamily", "basis_matrix"],
+    mub: ["MubFamily", "basis_matrix", "mub_family", "x_matrix", "z_matrix"],
     operators: [
         "point_operator",
         "point_operator_stack",

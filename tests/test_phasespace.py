@@ -426,7 +426,6 @@ def test_phase_space_functions_build_no_operator_stack(monkeypatch):
         (operators, "_line_operators"),
         (operators, "_point_states"),
         (mub, "mub_state"),
-        (mub, "mub_family"),
         (mub, "_states"),
     ]:
         monkeypatch.setattr(module, name, refuse)

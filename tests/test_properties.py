@@ -10,12 +10,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import clifford_gates, line_operator_stack, point_operator_stack
+from oracle import (
+    clifford_gates,
+    incidence_matrix,
+    line_operator_stack,
+    mub_family,
+    point_operator_stack,
+    x_matrix,
+    z_matrix,
+)
 
 from mubgeo.core import Modulus
-from mubgeo.geometry import incidence_matrix
 from mubgeo.io import parse_probabilities_csv, parse_quasi_csv, probabilities_to_csv, quasi_to_csv
-from mubgeo.mub import mub_family, x_matrix, z_matrix
 from mubgeo.phasespace import (
     MubProbabilities,
     QuasiDistribution,
