@@ -46,6 +46,17 @@ EXIT_INPUT_ERROR = 2
 
 ENV_EPS = "MUBGEO_EPS"
 
+# per verify scope: its peak bytes at d and its reports; a verifier is read by name at each call
+SCOPES = {
+    "geometry": (lambda d: 192 * d**3, lambda m, eps: [verify_dapg_axioms(m), verify_apg_axioms(m)]),
+    "duality": (lambda d: 192 * d**3, lambda m, eps: [verify_duality(m)]),
+    "mub": (
+        lambda d: 64 * (d + 1) * d * d,
+        lambda m, eps: [verify_eigenrelation(m, eps), verify_unbiasedness(m, eps)],
+    ),
+    "operators": (lambda d: 400 * d**3, lambda m, eps: [verify_operator_identities(m, eps)]),
+}
+
 
 def _resolve_eps(args) -> float:
     if getattr(args, "eps", None) is not None:
@@ -61,9 +72,9 @@ def _peak_bytes(d: int, command: str, scope: str) -> int:
     duality checks hold a few sorted integer tables of the d^3 incidences, and a
     failing check d rows of a Gram of N or M at a time (tracemalloc peaks of at
     most 66 d^3 bytes passing, at d = 101 and 211, and 99 d^3 bytes failing, at
-    d = 101); the operator battery, and the exact pass that decides a failed
-    bound of it, a handful of complex arrays of d^3 entries, one block of d
-    labels each (tracemalloc ~132-139 d^3 bytes at d = 31..61, passing and
+    d = 101); the operator battery, and the exact pass that decides a failed bound of it,
+    a handful of complex arrays of one block each, whole columns of d labels within max(d^3,
+    2^12) operator entries (tracemalloc ~132-139 d^3 bytes at d = 31..61, passing and
     failing alike, against the 400 d^3 allowed); the unbiasedness check every
     state and the Gram of one basis with every later one (tracemalloc 48.0 (d+1)
     d^2 bytes at d = 113 and 151), the eigenrelation check one basis at a time
@@ -80,12 +91,7 @@ def _peak_bytes(d: int, command: str, scope: str) -> int:
     one int64 exponent table and two complex matrices, ~153 MiB at d = 2003.
     """
     need = {
-        "verify": {
-            "geometry": 192 * d**3,
-            "duality": 192 * d**3,
-            "mub": 64 * (d + 1) * d * d,
-            "operators": 400 * d**3,
-        },
+        "verify": {name: peak(d) for name, (peak, _) in SCOPES.items()},
         "show": {"operator": 160 * d * d},
     }[command]
     return 64 * 2**20 + (max(need.values()) if scope == "all" else need[scope])
@@ -123,18 +129,8 @@ def cmd_verify(args) -> int:
     eps = check_eps(_resolve_eps(args), mod.d)
     what = f"verify --scope {args.scope} at d={mod.d}"
     _refuse_beyond_memory(what, _peak_bytes(mod.d, "verify", args.scope))
-    reports = []
-    if args.scope in ("geometry", "all"):
-        reports.append(verify_dapg_axioms(mod))
-        reports.append(verify_apg_axioms(mod))
-    if args.scope in ("duality", "all"):
-        reports.append(verify_duality(mod))
-    if args.scope in ("mub", "all"):
-        reports.append(verify_eigenrelation(mod, eps))
-        reports.append(verify_unbiasedness(mod, eps))
-    if args.scope in ("operators", "all"):
-        reports.append(verify_operator_identities(mod, eps))
-    combined = AxiomReport.combined(reports)
+    runs = [run for name, (_, run) in SCOPES.items() if args.scope in (name, "all")]
+    combined = AxiomReport.combined(report for run in runs for report in run(mod, eps))
     print(combined.to_json())
     n_ok = sum(1 for c in combined.checks if c.ok)
     print(
@@ -214,43 +210,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run exhaustive structural checks, print a JSON report")
-    p.add_argument("--scope", choices=["geometry", "duality", "mub", "operators", "all"], default="all")
-    p.add_argument("--d", type=int, required=True, help="odd prime dimension")
-    p.add_argument("--eps", type=float, default=None, help=f"tolerance (default {DEFAULT_EPS:g}, env {ENV_EPS})")
-    p.set_defaults(func=cmd_verify)
+    def command(name: str, func, help: str, eps: bool = False):  # with --d and, if eps, --eps
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--d", type=int, required=True, help="odd prime dimension")
+        if eps:
+            text = f"tolerance (default {DEFAULT_EPS:g}, env {ENV_EPS})"
+            p.add_argument("--eps", type=float, default=None, help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("show", help="print incidence lists, operators, or states")
+    p = command("verify", cmd_verify, "run exhaustive structural checks, print a JSON report", eps=True)
+    p.add_argument("--scope", choices=[*SCOPES, "all"], default="all")
+
+    p = command("show", cmd_show, "print incidence lists, operators, or states")
     p.add_argument("kind", choices=["line", "point", "operator", "state"])
-    p.add_argument("--d", type=int, required=True, help="odd prime dimension")
     p.add_argument("--j", help="line label m_minus1,m0")
     p.add_argument("--alpha", help="point label m,b (b=-1 for the reference column)")
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_show)
 
-    p = sub.add_parser("map", help="matrix JSON -> quasi-distribution table")
-    p.add_argument("--d", type=int, required=True, help="odd prime dimension")
+    p = command("map", cmd_map, "matrix JSON -> quasi-distribution table", eps=True)
     p.add_argument("--input", required=True, help="Hermitian matrix JSON path")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--eps", type=float, default=None, help=f"tolerance (default {DEFAULT_EPS:g}, env {ENV_EPS})")
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("reconstruct", help="quasi-distribution CSV -> matrix JSON")
-    p.add_argument("--d", type=int, required=True, help="odd prime dimension")
+    p = command("reconstruct", cmd_reconstruct, "quasi-distribution CSV -> matrix JSON")
     p.add_argument("--input", required=True, help="quasi-distribution CSV path")
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser(
-        "tomography", help="probability CSV -> quasi-distribution CSV and matrix JSON"
-    )
-    p.add_argument("--d", type=int, required=True, help="odd prime dimension")
+    what = "probability CSV -> quasi-distribution CSV and matrix JSON"
+    p = command("tomography", cmd_tomography, what, eps=True)
     p.add_argument("--input", required=True, help="probability CSV path")
     p.add_argument("--output-quasi", help="quasi-distribution CSV destination (default stdout)")
     p.add_argument("--output-matrix", help="matrix JSON destination (default stdout)")
-    p.add_argument("--eps", type=float, default=None, help=f"tolerance (default {DEFAULT_EPS:g}, env {ENV_EPS})")
-    p.set_defaults(func=cmd_tomography)
 
     return parser
 

@@ -7,6 +7,7 @@ numpy complex arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,15 +58,16 @@ class Modulus:
     d: int
 
     def __post_init__(self) -> None:
-        d = self.d
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise UnsupportedDimensionError(f"dimension must be an integer, got {d!r}")
+        if not hasattr(self.d, "__index__") or isinstance(self.d, bool):
+            raise UnsupportedDimensionError(f"dimension must be an integer, got {self.d!r}")
+        d = operator.index(self.d)  # a numpy integer is kept as its int, to compare and hash alike
         if d < 3:
             raise UnsupportedDimensionError(
                 f"d={d} is not supported: residues are halved, so d must be an odd prime >= 3"
             )
         if not is_prime(d):
             raise NotPrimeError(f"d={d} is not prime")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "_two_inverse", pow(2, -1, d))
 
     def half(self, a: int) -> int:

@@ -211,6 +211,16 @@ def line_index(mod: Modulus, line: Line):
     return line.m_minus1 * mod.d + line.m0
 
 
+def _point_at(mod: Modulus, i) -> Point:
+    """The point at point_index i, the inverse of point_index; i may be an array."""
+    return Point(i % mod.d, i // mod.d - 1)
+
+
+def _namers(mod: Modulus) -> tuple:
+    """The witness names of a point and of a line, by their index."""
+    return lambda i: format_point(_point_at(mod, i)), lambda j: format_line(Line(*divmod(j, mod.d)))
+
+
 def _line_point_index(mod: Modulus) -> np.ndarray:
     """point_index of the points of every line, one _line_points call: [line_index, b + 1]."""
     return point_index(mod, _line_points(mod, *np.divmod(np.arange(mod.d * mod.d), mod.d)))
@@ -306,7 +316,7 @@ def _has_plane_counts(at: np.ndarray) -> bool:
 
 
 def _sorted_points(mod: Modulus, indices: np.ndarray) -> list[Point]:
-    return sorted(Point(i % mod.d, i // mod.d - 1) for i in indices.tolist())
+    return sorted(_unstack(_point_at(mod, indices)))
 
 
 def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
@@ -324,15 +334,10 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
     d = mod.d
     size = d * (d + 1)
     at = _line_point_index(mod)  # [line, b + 1]
-    column, row = np.divmod(np.arange(size), d)  # point i is (row, column - 1)
-    pencils = line_index(mod, _pencil(mod, row, column - 1))
+    every = _point_at(mod, np.arange(size))
+    pencils = line_index(mod, _pencil(mod, *every))
     lines = np.arange(d * d)[:, None]
-
-    def point(i) -> str:
-        return format_point(Point(i % d, i // d - 1))
-
-    def line(j) -> str:
-        return format_line(Line(*divmod(j, d)))
+    point, line = _namers(mod)
 
     through = _distinct(at * (d * d) + lines)  # (point, line) of each incidence, once
     degree = np.bincount(through // (d * d), minlength=size)
@@ -355,7 +360,7 @@ def verify_dapg_axioms(mod: Modulus) -> AxiomReport:
         by_line, by_point = _grouped(lines, at, d * d, size), _grouped(at, lines, size, d * d)
         text = "lines {i} and {j} share {n} points"
         (meet,) = first_witnesses(*_gram_rows(by_line, by_point, d * d, d), _pairs(line, text, 1))
-        col = column - 1
+        col = every.b
         join, same, apart = first_witnesses(
             *_gram_rows(by_point, by_line, size, d),
             _pairs(point, "points {i} and {j} lie on {n} common lines", 1, cls=col, within=False),
@@ -405,9 +410,7 @@ def verify_apg_axioms(mod: Modulus) -> AxiomReport:
         lines = np.arange(count)[:, None]
         by_line = _grouped(lines, table, count, d * d)
         by_point = _grouped(table, lines, d * d, count)
-
-        def point(a) -> str:
-            return f"({a // d},{a % d})"
+        point = _namers(mod)[1]  # affine point xi*d + eta, named as its dual line (xi, eta)
 
         def line(k) -> str:
             return repr(_apg_line(mod, *labels[:, k]))

@@ -19,10 +19,10 @@ from .geometry import (
     Point,
     _has_plane_counts,
     _line_point_index,
+    _namers,
+    _point_at,
     check_line,
     check_point,
-    format_line,
-    format_point,
 )
 from .mub import _overlaps, _point_states
 from .report import AxiomReport, first_witnesses, offending
@@ -82,12 +82,16 @@ def _line_operators(mod: Modulus, m_minus1, m0) -> np.ndarray:
 
 
 def _blocks(total: int, d: int) -> list[slice]:
-    """Label blocks in order, d labels each: one column b of points, or one m_minus1 of lines."""
-    return [slice(i, i + d) for i in range(0, total, d)]
+    """Label blocks in order, of whole columns b of points or m_minus1 of lines: as many as fit
+    2^12 operator entries, at least one. So d <= 7 takes one block, and from d = 13 a block is one
+    column, O(d^3) entries; a larger budget made d = 13 and 19 slower.
+    """
+    step = d * max(1, 2**12 // d**3)
+    return [slice(i, min(i + step, total)) for i in range(0, total, step)]
 
 
-def _tables(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The states by point_index, the point_index of each line's points, and which of them count.
+def _tables(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The states by point_index, the point_index of each line's points, which count, and |psi|^2.
 
     A point counts once in its row [line_index, b + 1], in its first column, as in N.
     """
@@ -96,7 +100,7 @@ def _tables(mod: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(at, axis=1, kind="stable")
     first = np.ones(at.shape, dtype=bool)
     np.put_along_axis(first, order[:, 1:], np.diff(np.take_along_axis(at, order, axis=1)) != 0, 1)
-    return states, at, first
+    return states, at, first, (np.abs(states) ** 2).sum(axis=1)
 
 
 def _projectors(psi: np.ndarray) -> np.ndarray:
@@ -116,13 +120,13 @@ def _each(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(1, 2))
 
 
-def _deviations(mod: Modulus, eps: float) -> list[tuple]:
+def _deviations(mod: Modulus, tables: tuple, eps: float) -> list[tuple]:
     """(check, deviation, tolerance, witness text, label kinds) per bound, in report order.
 
-    A point block is a column b, a line block the d lines with one m_minus1;
-    each holds O(d^3) entries. Each line operator is built from the states of
-    the distinct points on its row, as Psi^T conj(Psi) - I, and only the two
-    route checks read the direct routes. The rest is read off the objects each
+    The tables are _tables(mod). The blocks are _blocks, of whole columns, and the column sums are
+    taken one column at a time whatever the block. Each line operator is built from the states
+    of the distinct points on its row, as Psi^T conj(Psi) - I, and only the two route checks
+    read the direct routes. The rest is read off the objects each
     identity is about: A_p^2 - A_p = (|psi_p|^2 - 1) A_p, and tr(A_p A_q) = |G|^2,
     G the states' Gram, bounded off mub._overlaps: |G - I| <= on in a column gives
     abs(|G|^2 - I) <= on (2 + on), ||G| - 1/sqrt(d)| <= x across two gives
@@ -142,39 +146,37 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     d = mod.d
     eye = np.eye(d)
     tol = d * max(eps, 16 * d * np.finfo(float).eps)
-    states, at, first = _tables(mod)
-    size = np.abs(states)
-    norms = (size * size).sum(axis=1)
-    labels = np.arange(d)
+    states, at, first, norms = tables
+    index = np.arange(len(states))
 
     per_point = np.empty((3, len(states)))  # Hermiticity, trace, route
-    columns = np.empty((d + 1, d, d), dtype=complex)
-    for c, block in enumerate(_blocks(len(states), d)):  # column b = c - 1
+    columns = np.empty((d + 1, d, d), dtype=complex)  # [b + 1]
+    for block in _blocks(len(states), d):
         a = _projectors(states[block])
         per_point[0, block] = _each(a - a.conj().transpose(0, 2, 1))
         per_point[1, block] = np.abs(a.trace(axis1=1, axis2=2) - 1.0)
-        per_point[2, block] = _each(a - _point_operators(mod, labels, c - 1))
-        columns[c] = a.sum(axis=0)
+        per_point[2, block] = _each(a - _point_operators(mod, *_point_at(mod, index[block])))
+        columns[block.start // d : block.stop // d] = a.reshape(-1, d, d, d).sum(axis=1)
     on, off = (np.max(x) for x in _overlaps(states, d))
     same, cross = on * (2 + on), off * (off + 2 / np.sqrt(d))  # bounds on abs(|G|^2 - 1, 0, 1/d)
 
     per_line = np.empty((4, len(at)))  # Hermiticity, trace, square, route
-    line_total = np.zeros((d, d), dtype=complex)
-    for m_minus1, block in enumerate(_blocks(len(at), d)):
+    line_columns = np.empty((d, d, d), dtype=complex)  # [m_minus1]
+    for block in _blocks(len(at), d):
         p = _line_sums(states, at, first, block)
         per_line[0, block] = _each(p - p.conj().transpose(0, 2, 1))
         per_line[1, block] = np.abs(p.trace(axis1=1, axis2=2) - 1.0)
         per_line[2, block] = _each(p @ p - eye)
-        per_line[3, block] = _each(p - _line_operators(mod, np.full(d, m_minus1), labels))
-        line_total += p.sum(axis=0)
+        per_line[3, block] = _each(p - _line_operators(mod, *divmod(index[block], d)))
+        line_columns[block.start // d : block.stop // d] = p.reshape(-1, d, d, d).sum(axis=1)
 
     plane = _has_plane_counts(at)
     unit = np.abs(norms - 1).max()
-    law = np.abs(norms - 1) * size.max(axis=1) ** 2  # the largest entry of A_p^2 - A_p
+    law = np.abs(norms - 1) * np.abs(states).max(axis=1) ** 2  # the largest entry of A_p^2 - A_p
     total = columns.sum(axis=0)
     resolution = _each(columns - eye)
     averages = _each(total - columns - d * eye).repeat(d) / d if plane else np.inf
-    sums = np.abs(total - (d + 1) * eye).max(), np.abs(line_total - d * eye).max()
+    sums = np.abs(total - (d + 1) * eye).max(), np.abs(line_columns.sum(axis=0) - d * eye).max()
     cross_terms = (per_line[2] + law[at].sum(axis=1)).max()
     point_gram = np.maximum(same, cross)
     incidence = same + d * cross + unit if plane else np.inf
@@ -199,19 +201,18 @@ def _deviations(mod: Modulus, eps: float) -> list[tuple]:
     ]
 
 
-def _first_offending_rows(mod: Modulus, check: str, tol: float, named) -> str:
+def _first_offending_rows(mod: Modulus, tables: tuple, check: str, tol: float, named) -> str:
     """A check's first witness from its exact deviations, rows of points or lines in order.
 
-    The rows are rebuilt from the states block by block as in the sweep, O(d^3) entries at a
-    time; named(start, devs) names a block's first deviation above tol, or gives "".
+    The rows are rebuilt from the sweep's tables block by block as in the sweep, O(d^3) entries
+    at a time; named(start, devs) names a block's first deviation above tol, or gives "".
     tr(A_p A_q) = |<psi_p|psi_q>|^2 and tr(P_j A_q) = <psi_q|P_j|psi_q>, one point block at a
     time; against a line k they sum over its points that count: tr(X P_k) = sum_q tr(X A_q) -
     tr(X). The line average at p is (sum_q c_pq A_q - c_pp I) / d with c = N N^T, from the rows
     of N; the cross terms of a line are P^2 + P - sum_q |psi_q|^2 A_q, as A_q^2 = |psi_q|^2 A_q.
     """
     d = mod.d
-    states, at, first = _tables(mod)
-    norms = (np.abs(states) ** 2).sum(axis=1)
+    states, at, first, norms = tables
     points, lines = _blocks(len(states), d), _blocks(len(at), d)
 
     def on_lines(t):  # the sum of t[:, q] over the points q of each line that count
@@ -274,13 +275,11 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
     A failing check names its first offending label, or pair, in label order and
     its deviation; where the sweep holds one number for it, _first_offending_rows decides.
     """
-    label = {  # a point, a line or a column b by its index
-        "p": lambda i: format_point(Point(i % mod.d, i // mod.d - 1)),
-        "l": lambda j: format_line(Line(*divmod(j, mod.d))),
-        "c": lambda c: str(c - 1),
-    }
+    point, line = _namers(mod)
+    label = {"p": point, "l": line, "c": lambda c: str(c - 1)}  # a name by index, c of a column b
+    tables = _tables(mod)
     findings: dict[str, str] = {}
-    for check, devs, tol, what, kinds in _deviations(mod, check_eps(eps, mod.d)):
+    for check, devs, tol, what, kinds in _deviations(mod, tables, check_eps(eps, mod.d)):
 
         def named(start, devs):  # the first deviation not within tol; devs' row 0 is label start
             def text(*at):
@@ -291,6 +290,6 @@ def verify_operator_identities(mod: Modulus, eps: float = DEFAULT_EPS) -> AxiomR
 
         exact = np.ndim(devs) < len(kinds) and not devs <= tol
         findings[check] = findings.get(check) or (
-            _first_offending_rows(mod, check, tol, named) if exact else named(0, devs)
+            _first_offending_rows(mod, tables, check, tol, named) if exact else named(0, devs)
         )
     return AxiomReport.from_findings(mod.d, findings)

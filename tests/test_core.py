@@ -54,6 +54,22 @@ def test_modulus_rejects_non_integer():
         Modulus(3.0)
 
 
+@pytest.mark.parametrize("d", [np.int64(5), np.int32(5), np.uint8(5)])
+def test_modulus_takes_a_numpy_integer_as_the_int_it_equals(d):
+    # stored as an int, so both moduli compare and hash alike for the phase-space caches
+    mod = Modulus(d)
+    assert type(mod.d) is int
+    assert mod == Modulus(5)
+    assert hash(mod) == hash(Modulus(5))
+
+
+@pytest.mark.parametrize("d, shown", [(True, "True"), (5.0, "5.0"), (np.True_, "np.True_")])
+def test_modulus_refuses_a_bool_or_a_float_in_the_same_words(d, shown):
+    text = f"dimension must be an integer, got {shown}"
+    with pytest.raises(UnsupportedDimensionError, match=f"^{re.escape(text)}$"):
+        Modulus(d)
+
+
 def test_half_examples():
     assert Modulus(3).half(2) == 1
     assert Modulus(3).half(1) == 2

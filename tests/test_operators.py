@@ -35,7 +35,9 @@ from mubgeo.geometry import (
 )
 from mubgeo.mub import mub_state
 from mubgeo.operators import (
+    _blocks,
     _deviations,
+    _tables,
     line_operator_direct,
     point_operator_direct,
     verify_operator_identities,
@@ -275,7 +277,7 @@ def test_block_battery_agrees_with_the_dense_oracle(d):
     report, dense = dense_operator_battery(mod)
     assert verify_operator_identities(mod) == report
     assert report.passed
-    blocks = _deviations(mod, 1e-10)
+    blocks = _deviations(mod, _tables(mod), 1e-10)
     assert [(name, tol) for name, _, tol, *_ in blocks] == [(name, tol) for name, _, tol in dense]
     for (name, got, *_), (_, want, _) in zip(blocks, dense):
         assert abs(np.max(got) - want) <= 16 * d * d * 2.0**-52, name
@@ -335,8 +337,8 @@ def test_battery_holds_no_dense_stack():
 
 
 def test_battery_at_d13_holds_one_column_at_a_time():
-    # a block is one column of points or one m_minus1 of lines at every d, so a passing run at
-    # d = 13 stays under 1 MiB; blocks of all 14 columns at once peaked at 4.3 MiB
+    # from d = 13 up a block is one column of points or one m_minus1 of lines, so a passing run
+    # at d = 13 stays under 1 MiB; blocks of all 14 columns at once peaked at 4.3 MiB
     mod = Modulus(13)
     tracemalloc.start()
     try:
@@ -355,9 +357,9 @@ def _count_exact_passes(monkeypatch):
     """Patch operators._first_offending_rows to record the check of each call; return the list."""
     checks, exact = [], operators._first_offending_rows
 
-    def counted(mod, check, *args):
+    def counted(mod, tables, check, *args):
         checks.append(check)
-        return exact(mod, check, *args)
+        return exact(mod, tables, check, *args)
 
     monkeypatch.setattr(operators, "_first_offending_rows", counted)
     return checks
@@ -427,7 +429,7 @@ POINT_GRAM_BOUNDS = ("op.point_gram_cases", "op.incidence_trace")
 
 def _bounds_and_deviations(mod):
     """The sweep's value of each point Gram bound, and the dense oracle's deviation of its check."""
-    bounds = {name: np.max(devs) for name, devs, *_ in _deviations(mod, 1e-10)}
+    bounds = {name: np.max(devs) for name, devs, *_ in _deviations(mod, _tables(mod), 1e-10)}
     dense = {name: dev for name, dev, _ in dense_operator_battery(mod)[1]}
     return [(name, bounds[name], dense[name]) for name in POINT_GRAM_BOUNDS]
 
@@ -598,3 +600,72 @@ def test_nan_state_fails_every_operator_check(monkeypatch):
     report = verify_operator_identities(MOD5)
     assert [c.axiom for c in report.checks if c.ok] == []
     assert dense_operator_battery(MOD5)[0] == report
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 19])
+def test_blocks_are_whole_columns_within_the_entry_budget(d):
+    # as many columns of d labels as fit 2^12 entries of their d x d operators, and at least one:
+    # the points and the lines are each one block at d <= 7, and one column a block from d = 13
+    for total in (d * (d + 1), d * d):  # the points, the lines
+        blocks = _blocks(total, d)
+        sizes = [b.stop - b.start for b in blocks]
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(total))
+        assert all(n % d == 0 and n * d * d <= max(d**3, 2**12) for n in sizes)
+        assert all(n == d * max(1, 2**12 // d**3) for n in sizes[:-1])
+        if d <= 7:
+            assert len(blocks) == 1
+        if d >= 13:
+            assert sizes == [d] * (total // d)
+
+
+def _one_column_blocks(total, d):
+    return [slice(i, i + d) for i in range(0, total, d)]
+
+
+@pytest.mark.parametrize("d", [5, 7, 11])
+@pytest.mark.parametrize("faulted", [False, True], ids=["passing", "faulted"])
+def test_whole_column_blocks_keep_every_deviation_bit_for_bit(monkeypatch, d, faulted):
+    # the column sums are taken one column at a time, in order, whatever the block, so the sweep
+    # and the exact passes give the bits and the witnesses of one column per block
+    if faulted:
+        inject(monkeypatch, mub, "_states", (2, 2), _scale)
+    mod = Modulus(d)
+
+    def battery():
+        devs = _deviations(mod, _tables(mod), 1e-10)
+        bits = [(name, np.asarray(x).tobytes()) for name, x, *_ in devs]
+        return bits, verify_operator_identities(mod)
+
+    blocks, report = battery()
+    monkeypatch.setattr(operators, "_blocks", _one_column_blocks)
+    assert battery() == (blocks, report)
+    assert report.passed != faulted
+
+
+def _count_table_builds(monkeypatch):
+    """Patch operators._tables to record the d of each build; return the list."""
+    builds, build = [], operators._tables
+
+    def counted(mod):
+        builds.append(mod.d)
+        return build(mod)
+
+    monkeypatch.setattr(operators, "_tables", counted)
+    return builds
+
+
+def test_battery_builds_its_tables_once(monkeypatch):
+    # the sweep and every exact pass read the tables of one build, on a passing run and on a
+    # catalogue mutant whose exact passes decide four bounds
+    mod = Modulus(7)
+    builds = _count_table_builds(monkeypatch)
+    assert verify_operator_identities(mod).passed
+    assert builds == [7]
+    (fault,) = [m for m in mutants(7) if m[0] == "d=7 _states 0,-1 answer of 0,0"]
+    _, rule, label, fix = fault
+    inject(monkeypatch, mub, rule, label, fix)
+    exact = _count_exact_passes(monkeypatch)
+    builds.clear()
+    assert not verify_operator_identities(mod).passed
+    assert len(exact) >= 2
+    assert builds == [7]
